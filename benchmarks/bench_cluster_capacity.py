@@ -15,9 +15,8 @@ worker slots rather than with one box's arithmetic throughput.  The
 floor is disclosed in every record (``job_floor_seconds``) and in the
 summary (``paced``).
 
-The harness is **resumable** (same JSON-lines idiom as
-``bench_batched_step2.py``): one record per experiment key, re-runs skip
-finished keys, ``--no-resume`` truncates first.
+The harness is **resumable** (JSON-lines, one record per experiment
+key): re-runs skip finished keys, ``--no-resume`` truncates first.
 
 CI (the cluster-smoke job) and local use::
 

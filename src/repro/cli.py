@@ -191,10 +191,7 @@ def _build_cache(args: argparse.Namespace, metrics):
     """Artifact cache per the CLI cache flags (shared by batch and serve)."""
     from repro.service import ArtifactCache, CacheStack, DiskCacheStore
 
-    memory_cache = ArtifactCache(
-        max_bytes=args.cache_mb * 2**20,
-        spill_dir=getattr(args, "spill_dir", None),
-    )
+    memory_cache = ArtifactCache(max_bytes=args.cache_mb * 2**20)
     if args.cache_dir:
         # Two-tier stack: this process's LRU in front, one shared
         # disk store behind — process workers pickle the stack and
@@ -208,28 +205,6 @@ def _build_cache(args: argparse.Namespace, metrics):
             ),
         )
     return memory_cache
-
-
-def _scheduler_kwargs(args: argparse.Namespace) -> dict:
-    """WorkerPool scheduling kwargs from the shared CLI flags.
-
-    ``--tier-threshold 0`` (the default) disables cost-based routing and
-    ``--batch-window 0`` disables Step-2 micro-batching, so existing
-    invocations behave exactly as before.
-    """
-    tiering = None
-    if args.tier_threshold > 0:
-        from repro.service import BackendTieringPolicy
-
-        tiering = BackendTieringPolicy(
-            threshold_pairs=args.tier_threshold,
-            large_backend=args.tier_large_backend,
-        )
-    return {
-        "tiering": tiering,
-        "batch_window": args.batch_window,
-        "batch_max": args.batch_max,
-    }
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -259,7 +234,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         max_retries=args.retries,
         default_timeout=args.timeout,
         seed=args.seed,
-        **_scheduler_kwargs(args),
     )
     records = pool.run(specs)
     pool.shutdown()
@@ -400,7 +374,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_retries=args.retries,
             default_timeout=args.timeout,
             seed=args.seed,
-            **_scheduler_kwargs(args),
         )
         gateway = MosaicGateway(
             pool,
@@ -577,7 +550,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             max_retries=args.retries,
             default_timeout=args.timeout,
             seed=args.seed,
-            **_scheduler_kwargs(args),
         )
         gateway = MosaicGateway(
             pool,
@@ -720,7 +692,6 @@ def _cmd_serve_node(args: argparse.Namespace) -> int:
             max_retries=args.retries,
             default_timeout=args.timeout,
             seed=args.seed,
-            **_scheduler_kwargs(args),
         )
         gateway = MosaicGateway(pool, max_pending=args.max_pending, metrics=metrics)
         front = NodeFront(
@@ -1119,37 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mosaic.set_defaults(func=_cmd_mosaic)
 
-    def add_scheduler_flags(command: argparse.ArgumentParser) -> None:
-        """Step-2 batching + backend-tiering flags shared by the pool
-        subcommands (batch / serve / serve-http); both features default
-        off (see docs/performance.md, "Batched Step 2")."""
-        command.add_argument(
-            "--batch-window", type=float, default=0.0,
-            help="micro-batching window in seconds: concurrent jobs with "
-            "matching Step-2 fingerprints share one batched launch, "
-            "waiting at most this long for peers (0 = off; thread "
-            "executors only)",
-        )
-        command.add_argument(
-            "--batch-max", type=int, default=8,
-            help="jobs per batched Step-2 launch before the window "
-            "closes early",
-        )
-        command.add_argument(
-            "--tier-threshold", type=int, default=0,
-            help="backend tiering: jobs predicted to score at least this "
-            "many Step-2 pairs route to the large-tier backend, smaller "
-            "ones to numpy (0 = off; an explicit per-job backend always "
-            "wins; see benchmarks/BENCH_9.json for the measured "
-            "crossover)",
-        )
-        command.add_argument(
-            "--tier-large-backend",
-            choices=("numpy", "cupy", "auto"), default="auto",
-            help="backend for above-threshold jobs (falls back to numpy "
-            "when unavailable)",
-        )
-
     batch = sub.add_parser(
         "batch", help="run a manifest of mosaic jobs through the worker pool"
     )
@@ -1176,9 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-mb", type=int, default=256, help="in-memory cache budget (MiB)"
     )
     batch.add_argument(
-        "--spill-dir", default=None, help="spill evicted cache entries here"
-    )
-    batch.add_argument(
         "--cache-dir", default=None,
         help="shared disk cache root: artifacts persist across runs and are "
         "shared by process workers (see docs/service.md)",
@@ -1197,7 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default array backend for every job that doesn't set its "
         "own 'backend' field",
     )
-    add_scheduler_flags(batch)
     batch.set_defaults(func=_cmd_batch)
 
     serve = sub.add_parser(
@@ -1257,7 +1193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default array backend for every job that doesn't set its "
         "own 'backend' field",
     )
-    add_scheduler_flags(serve)
     serve.set_defaults(func=_cmd_serve)
 
     serve_http = sub.add_parser(
@@ -1335,7 +1270,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default array backend for every job that doesn't set its "
         "own 'backend' field",
     )
-    add_scheduler_flags(serve_http)
     serve_http.set_defaults(func=_cmd_serve_http)
 
     serve_node = sub.add_parser(
@@ -1433,7 +1367,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("numpy", "cupy", "auto"), default=None,
         help="default array backend for jobs without a 'backend' field",
     )
-    add_scheduler_flags(serve_node)
     serve_node.set_defaults(func=_cmd_serve_node)
 
     serve_cluster = sub.add_parser(

@@ -1,14 +1,18 @@
-"""Tile-error model: cost metrics and error-matrix computation (Step 2)."""
+"""Tile-error model: cost metrics and error-matrix computation (Step 2).
+
+One Step-2 kernel path serves every caller: :func:`error_matrix` (dense),
+:func:`sparse_error_matrix` (shortlisted, delegating to the dense path
+when ``top_k >= S``) and :func:`error_matrix_parallel` all evaluate the
+metric's own :meth:`~repro.cost.base.CostMetric.pairwise` /
+:meth:`~repro.cost.base.CostMetric.rowwise` kernels.  The default SAD
+metric's pairwise kernel sweeps cache-resident row blocks through one
+reused scratch buffer, the host analogue of the paper's Section-V
+kernel.
+"""
 
 from __future__ import annotations
 
 from repro.cost.base import CostMetric, get_metric, register_metric
-from repro.cost.batch import (
-    BATCH_CHUNK_BUDGET,
-    BatchedErrorMatrixBuilder,
-    BatchJob,
-    batch_fingerprint,
-)
 from repro.cost.color import WeightedColorMetric
 from repro.cost.gradient import GradientMetric
 from repro.cost.luminance import LuminanceMetric
@@ -50,8 +54,4 @@ __all__ = [
     "DEFAULT_TOP_K",
     "SparseErrorMatrix",
     "sparse_error_matrix",
-    "BATCH_CHUNK_BUDGET",
-    "BatchJob",
-    "BatchedErrorMatrixBuilder",
-    "batch_fingerprint",
 ]

@@ -58,27 +58,6 @@ class CostMetric(ABC):
             )[0, 0]
         return out
 
-    def pairwise_into(
-        self,
-        input_features: np.ndarray,
-        target_features: np.ndarray,
-        out: np.ndarray,
-        scratch: np.ndarray | None = None,
-    ) -> np.ndarray | None:
-        """Write the pairwise block into ``out``; may reuse ``scratch``.
-
-        The batched Step-2 builder (:mod:`repro.cost.batch`) sweeps many
-        small row chunks over one target stack and calls this per chunk,
-        threading the returned scratch buffer through the loop so the
-        broadcast intermediate is allocated once per launch instead of
-        once per chunk.  The default just delegates to :meth:`pairwise`
-        (no scratch); metrics whose kernel materialises a large
-        intermediate (SAD) override it.  Must compute values identical
-        to :meth:`pairwise` — the differential suites pin this.
-        """
-        out[...] = self.pairwise(input_features, target_features)
-        return scratch
-
     def tile_error(self, tile_a: np.ndarray, tile_b: np.ndarray) -> int:
         """Error between two single tiles (convenience wrapper)."""
         tile_a = np.asarray(tile_a)

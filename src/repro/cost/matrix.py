@@ -3,7 +3,11 @@
 :func:`error_matrix` builds the dense ``S x S`` matrix
 ``E[u, v] = E(I_u, T_v)`` by chunking input tiles so the broadcast
 intermediate never exceeds a memory budget (the guides' cache/memory
-rules: bound the working set, keep accesses contiguous).
+rules: bound the working set, keep accesses contiguous).  The default
+SAD metric goes further inside each chunk: its
+:meth:`~repro.cost.sad.SADMetric.pairwise` sweeps cache-resident row
+blocks through one reused scratch buffer, the host analogue of the
+paper's Step-2 kernel.
 
 :func:`total_error` / :func:`total_error_of_permutation` evaluate the
 paper's Eq. (2) for a given rearrangement.
@@ -27,9 +31,13 @@ __all__ = [
     "total_error_of_permutation",
 ]
 
-#: Default cap on the broadcast intermediate, in scalar elements.  64 Mi
-#: int16 elements is ~128 MiB — large enough to keep BLAS-free kernels busy,
-#: small enough for laptop-class machines.
+#: Default cap on one chunk's work, in scalar elements (``rows * S * F``).
+#: Metrics that broadcast a whole chunk at once (SSD, luminance, colour)
+#: hold at most this many elements — 64 Mi int16 elements is ~128 MiB,
+#: large enough to keep BLAS-free kernels busy, small enough for
+#: laptop-class machines.  SAD blocks each chunk further into ~2 MiB
+#: scratch sweeps, so for SAD the chunk only bounds its ``rows x S``
+#: int64 result.
 DEFAULT_CHUNK_BUDGET = 64 * 1024 * 1024
 
 
@@ -65,7 +73,7 @@ def error_matrix(
         Registry name (``"sad"``, ``"ssd"``, ``"luminance"``, ``"color"``)
         or a :class:`CostMetric` instance.
     chunk_budget:
-        Maximum number of scalar elements in the broadcast intermediate;
+        Maximum number of scalar elements (``rows * S * F``) per chunk;
         the input-tile axis is chunked to respect it.
     backend:
         Array backend for the pairwise kernel (``None``/``"numpy"``,

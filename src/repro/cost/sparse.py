@@ -370,9 +370,7 @@ def _score_pairs_chunked(
 
     Runs the metric's rowwise kernel in backend chunks sized by
     ``chunk_budget`` scalar elements.  The kernel is row-independent, so
-    any chunk partition — including the stacked cross-job launches of
-    :mod:`repro.cost.batch`, which index into concatenated feature
-    stacks — produces bit-identical costs.
+    any chunk partition produces bit-identical costs.
     """
     n = int(rows.shape[0])
     if xb.is_numpy:
@@ -400,29 +398,6 @@ def _sq_dist_rows(point: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.einsum("nf,nf->n", diff, diff)
 
 
-def _position_clusters(
-    sketch_tg: np.ndarray, clusters: int, seed: int | None
-) -> tuple[np.ndarray, list[np.ndarray], int]:
-    """Seeded k-means over the position sketches: ``(centroids, members,
-    n_clusters)``.
-
-    Split out of :func:`_preference_orders` so the batched builder
-    (:mod:`repro.cost.batch`) can cluster a shared target grid once per
-    batch — the clustering is a pure function of ``(sketch_tg, clusters,
-    seed)``, so reusing it across jobs with matching fingerprints is
-    bit-identical to clustering per job.
-    """
-    from repro.library.shortlist import kmeans
-
-    s = sketch_tg.shape[0]
-    if clusters == 0:
-        clusters = max(1, int(round(s**0.5)))
-    clusters = min(clusters, s)
-    centroids, labels = kmeans(sketch_tg, clusters, seed=seed)
-    members = [np.flatnonzero(labels == c) for c in range(clusters)]
-    return centroids, members, clusters
-
-
 def _preference_orders(
     sketch_in: np.ndarray,
     sketch_tg: np.ndarray,
@@ -431,7 +406,6 @@ def _preference_orders(
     probes: int,
     head_width: int,
     seed: int | None,
-    clustering: tuple[np.ndarray, list[np.ndarray], int] | None = None,
 ) -> tuple[np.ndarray, int]:
     """Per-input-tile full preference order over all positions.
 
@@ -444,15 +418,16 @@ def _preference_orders(
     selection always find ``top_k`` free positions per row; the cluster
     structure keeps the fine ranking effort concentrated near the head.
     All ties break on ascending position, so the order is a pure
-    function of the sketches and the k-means seed.  ``clustering``, when
-    given, must be a :func:`_position_clusters` result for the same
-    ``(sketch_tg, clusters, seed)`` — the batched builder passes one
-    shared clustering per target grid.
+    function of the sketches and the k-means seed.
     """
+    from repro.library.shortlist import kmeans
+
     s = sketch_tg.shape[0]
-    if clustering is None:
-        clustering = _position_clusters(sketch_tg, clusters, seed)
-    centroids, members, clusters = clustering
+    if clusters == 0:
+        clusters = max(1, int(round(s**0.5)))
+    clusters = min(clusters, s)
+    centroids, labels = kmeans(sketch_tg, clusters, seed=seed)
+    members = [np.flatnonzero(labels == c) for c in range(clusters)]
     probes = max(1, min(probes, clusters))
     orders = np.empty((s, s), dtype=np.int64)
     for u in range(s):

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from repro.gpusim.kernels.error_kernel import (
-    error_matrices_gpu_batched,
-    error_matrix_gpu,
-)
+from repro.gpusim.kernels.error_kernel import error_matrix_gpu
 from repro.gpusim.kernels.swap_kernel import run_swap_class_on_device
 
 __all__ = [
-    "error_matrices_gpu_batched",
     "error_matrix_gpu",
     "run_swap_class_on_device",
 ]

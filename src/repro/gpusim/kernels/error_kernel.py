@@ -14,9 +14,6 @@ global/shared-memory path so launches report realistic op/byte counts.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Sequence
-
 import numpy as np
 
 from repro.exceptions import GpuSimError, ValidationError
@@ -25,12 +22,7 @@ from repro.gpusim.kernel import BlockContext, KernelStats, launch_kernel
 from repro.gpusim.memory import GlobalMemory
 from repro.types import ERROR_DTYPE, ErrorMatrix, TileStack
 
-__all__ = [
-    "error_matrix_gpu",
-    "error_matrices_gpu_batched",
-    "error_row_kernel",
-    "error_rows_batched_kernel",
-]
+__all__ = ["error_matrix_gpu", "error_row_kernel"]
 
 
 def error_row_kernel(ctx: BlockContext) -> None:
@@ -100,106 +92,3 @@ def error_matrix_gpu(
         stats=stats,
     )
     return gmem.download("error_matrix")
-
-
-def error_rows_batched_kernel(ctx: BlockContext) -> None:
-    """Cross-job batched row kernel: block ``b`` computes row ``b % S`` of
-    job ``b // S``.
-
-    The launch concatenates every job's input rows into one grid of
-    ``B * S`` blocks, so the device sees a single wide launch instead of
-    ``B`` narrow ones — the concurrent-request analogue of the paper's
-    one-block-per-row fusion.  Target stacks are deduplicated on the
-    host: jobs sharing a target grid read the same device buffer rows
-    through their entry in ``target_offsets``, so a shared grid is
-    uploaded (and its bytes metered) once per launch.
-    """
-    b = ctx.block_idx
-    inputs = ctx.global_mem.buffer("batched_input_tiles")
-    out = ctx.global_mem.buffer("batched_error_matrix")
-    s = out.shape[1]
-    pixels = inputs.shape[1]
-    base = int(ctx.global_mem.read("target_offsets", b // s))
-    staged = ctx.shared.alloc("tile_u", (pixels,), np.int16)
-    staged[:] = ctx.global_mem.read("batched_input_tiles", b)
-    ctx.syncthreads()
-    for start in range(0, s, ctx.block_dim):
-        batch = ctx.lanes[ctx.lanes < s - start] + start
-        targets = ctx.global_mem.read("batched_target_tiles", base + batch)
-        errors = np.abs(targets - staged[None, :]).sum(axis=1, dtype=np.int64)
-        ctx.count_ops(int(targets.shape[0]) * pixels)
-        ctx.global_mem.write("batched_error_matrix", (b, batch), errors)
-    ctx.syncthreads()
-
-
-def error_matrices_gpu_batched(
-    jobs: Sequence[tuple[TileStack, TileStack]],
-    *,
-    device: DeviceProperties = TESLA_K40,
-    block_dim: int = 256,
-    stats: KernelStats | None = None,
-) -> list[ErrorMatrix]:
-    """SAD error matrices for ``B`` jobs in **one** virtual-GPU launch.
-
-    Each job is an ``(input_tiles, target_tiles)`` pair; all jobs must
-    share one grid/tile shape (the batch fingerprint guarantees this at
-    the service level).  Per-job matrices are the row slices of the
-    stacked launch and are bit-identical to :func:`error_matrix_gpu` per
-    job — the row kernel is independent across blocks, so block order
-    and grid packing cannot change any value.  ``stats`` records one
-    launch (vs ``B`` for the solo path) with the same total op count.
-    """
-    if not jobs:
-        return []
-    prepared_in: list[np.ndarray] = []
-    target_offsets: list[int] = []
-    unique_targets: list[np.ndarray] = []
-    seen: dict[str, int] = {}
-    shape = None
-    for input_tiles, target_tiles in jobs:
-        input_tiles = np.asarray(input_tiles)
-        target_tiles = np.asarray(target_tiles)
-        if input_tiles.shape != target_tiles.shape:
-            raise ValidationError(
-                f"tile stacks differ: {input_tiles.shape} vs "
-                f"{target_tiles.shape}"
-            )
-        if input_tiles.ndim not in (3, 4) or input_tiles.shape[0] == 0:
-            raise ValidationError(f"bad tile stack shape {input_tiles.shape}")
-        if shape is None:
-            shape = input_tiles.shape
-        elif input_tiles.shape != shape:
-            raise ValidationError(
-                f"batched jobs must share one grid: {input_tiles.shape} vs "
-                f"{shape}"
-            )
-        s = input_tiles.shape[0]
-        flat_tg = target_tiles.reshape(s, -1).astype(np.int16)
-        key = hashlib.sha256(flat_tg.tobytes()).hexdigest()
-        if key not in seen:
-            seen[key] = len(unique_targets)
-            unique_targets.append(flat_tg)
-        target_offsets.append(seen[key] * s)
-        prepared_in.append(input_tiles.reshape(s, -1).astype(np.int16))
-    s = shape[0]
-    flat_in = np.concatenate(prepared_in, axis=0)
-    if flat_in.shape[1] * flat_in.itemsize > device.shared_mem_per_block:
-        raise GpuSimError(
-            f"tile of {flat_in.shape[1]} px does not fit in "
-            f"{device.shared_mem_per_block} B of shared memory"
-        )
-    gmem = GlobalMemory()
-    gmem.upload("batched_input_tiles", flat_in)
-    gmem.upload("batched_target_tiles", np.concatenate(unique_targets, axis=0))
-    gmem.upload("target_offsets", np.asarray(target_offsets, dtype=np.int64))
-    gmem.alloc("batched_error_matrix", (len(jobs) * s, s), ERROR_DTYPE)
-    launch_kernel(
-        device,
-        gmem,
-        error_rows_batched_kernel,
-        grid_dim=len(jobs) * s,
-        block_dim=min(block_dim, device.max_threads_per_block),
-        stats=stats,
-    )
-    stacked = gmem.download("batched_error_matrix")
-    return [stacked[b * s : (b + 1) * s].copy() for b in range(len(jobs))]

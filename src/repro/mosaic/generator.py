@@ -55,16 +55,9 @@ class PhotomosaicGenerator:
         config: MosaicConfig | None = None,
         *,
         cache=None,
-        batcher=None,
     ) -> None:
         self.config = config or MosaicConfig()
         self.cache = cache
-        # Optional Step2BatchCoordinator (repro.service.batching): when
-        # set, Step 2 joins the cross-job rendezvous so concurrent
-        # same-fingerprint jobs share one batched launch.  Results are
-        # bit-identical to the solo builders, so the hook changes
-        # scheduling only, never output.
-        self.batcher = batcher
 
     def preprocess(self, input_image: AnyImage, target_image: AnyImage) -> AnyImage:
         """Histogram-match the input to the target (Section II).
@@ -252,39 +245,27 @@ class PhotomosaicGenerator:
         phase_done("step1_tiling")
         orientation_codes = None
         sparse_matrix: SparseErrorMatrix | None = None
-        batch_meta: dict | None = None
-        batchable = self.batcher is not None and not self.config.allow_transforms
         with timings.measure("step2_error_matrix"):
             if self.config.shortlist_top_k > 0:
                 # Sparse Step 2: sketch-shortlisted candidates, exact-scored.
                 # The artifact cache stores only full dense matrices, so
                 # sparse runs bypass it (step-1 tile caching still applies).
-                if batchable:
-                    sparse_matrix, batch_meta = self._batched_step2(
-                        grid, input_tiles, target_tiles
-                    )
-                else:
-                    sparse_matrix = sparse_error_matrix(
-                        input_tiles,
-                        target_tiles,
-                        self.config.metric,
-                        top_k=self.config.shortlist_top_k,
-                        sketch=self.config.sketch,
-                        seed=self.config.shortlist_seed,
-                        backend=self.config.array_backend,
-                    )
+                sparse_matrix = sparse_error_matrix(
+                    input_tiles,
+                    target_tiles,
+                    self.config.metric,
+                    top_k=self.config.shortlist_top_k,
+                    sketch=self.config.sketch,
+                    seed=self.config.shortlist_seed,
+                    backend=self.config.array_backend,
+                )
                 matrix = sparse_matrix.to_dense()
                 if self.cache is not None:
                     cache_meta["step2_matrix"] = "bypass"
             elif self.cache is None:
-                if batchable:
-                    matrix, batch_meta = self._batched_step2(
-                        grid, input_tiles, target_tiles
-                    )
-                else:
-                    matrix, orientation_codes = self._compute_matrix(
-                        input_tiles, target_tiles
-                    )
+                matrix, orientation_codes = self._compute_matrix(
+                    input_tiles, target_tiles
+                )
             else:
                 from repro.service.cache import error_matrix_key
 
@@ -297,28 +278,10 @@ class PhotomosaicGenerator:
                 cache_meta["step2_matrix"] = (
                     "hit" if self.cache.contains(key) else "miss"
                 )
-                if batchable:
-                    # A cache miss still goes through the rendezvous so
-                    # concurrent distinct-image jobs share the launch;
-                    # hits skip Step 2 entirely, as before.
-                    holder: dict = {}
-
-                    def compute_batched():
-                        matrix, batch = self._batched_step2(
-                            grid, input_tiles, target_tiles
-                        )
-                        holder["batch"] = batch
-                        return matrix, None
-
-                    matrix, orientation_codes = self.cache.get_or_compute(
-                        key, compute_batched
-                    )
-                    batch_meta = holder.get("batch")
-                else:
-                    matrix, orientation_codes = self.cache.get_or_compute(
-                        key,
-                        lambda: self._compute_matrix(input_tiles, target_tiles),
-                    )
+                matrix, orientation_codes = self.cache.get_or_compute(
+                    key,
+                    lambda: self._compute_matrix(input_tiles, target_tiles),
+                )
         phase_done("step2_error_matrix")
         with timings.measure("step3_rearrangement"):
             if self.config.algorithm == "pyramid":
@@ -360,11 +323,6 @@ class PhotomosaicGenerator:
         image = grid.assemble(placed)
         if cache_meta:
             meta = {**meta, "cache": cache_meta}
-        if batch_meta is not None:
-            # Plain ints/strings only: the dict must survive process-pool
-            # pickling so the worker pool can fold batch counters even
-            # when the result crossed an executor boundary.
-            meta = {**meta, "batch": batch_meta}
         final_total = total_error(matrix, perm)
         if sparse_matrix is not None:
             positions = cached_positions(grid.tile_count)
@@ -402,40 +360,6 @@ class PhotomosaicGenerator:
             trace=trace,
             meta=meta,
         )
-
-    def _batched_step2(self, grid: TileGrid, input_tiles, target_tiles):
-        """Step 2 through the cross-job rendezvous: ``(result, meta)``.
-
-        ``result`` is the dense matrix (dense config) or the
-        :class:`SparseErrorMatrix` (shortlist config), sliced out of the
-        shared launch bit-identically to the solo path.  The fingerprint
-        matches what :func:`repro.service.batching.step2_fingerprint`
-        derives from the job spec, so pool announcements and this call
-        site rendezvous under the same key.
-        """
-        from repro.cost.batch import BatchJob, batch_fingerprint
-
-        cfg = self.config
-        input_tiles = np.asarray(input_tiles)
-        fingerprint = batch_fingerprint(
-            grid_tiles=grid.tile_count,
-            tile_shape=tuple(input_tiles.shape[1:]),
-            metric=cfg.metric,
-            backend=cfg.array_backend,
-            top_k=cfg.shortlist_top_k,
-            sketch=cfg.sketch,
-        )
-        job = BatchJob(
-            input_tiles,
-            np.asarray(target_tiles),
-            top_k=cfg.shortlist_top_k,
-            sketch=cfg.sketch,
-            seed=cfg.shortlist_seed,
-        )
-        result, batch_size = self.batcher.compute(
-            fingerprint, job, metric=cfg.metric, backend=cfg.array_backend
-        )
-        return result, {"size": int(batch_size), "fingerprint": fingerprint}
 
     def _compute_matrix(
         self, input_tiles: np.ndarray, target_tiles: np.ndarray

@@ -8,14 +8,10 @@ This subsystem turns the one-shot pipeline into a servable workload:
 * :mod:`repro.service.workers` — a worker pool (thread/process executors)
   with per-job timeouts, bounded retries with backoff, and graceful
   drain;
-* :mod:`repro.service.batching` — the Step-2 micro-batching rendezvous:
-  concurrent same-fingerprint jobs share one batched error-matrix
-  launch (:mod:`repro.cost.batch`), bit-identical to solo runs;
-* :mod:`repro.service.tiering` — the backend-tiering scheduler routing
-  jobs to NumPy or an accelerator by predicted Step-2 cost;
 * :mod:`repro.service.cache` — content-addressed artifact caching
   (memory LRU, the two-tier :class:`CacheStack`) memoizing Step-1 tile
-  grids and Step-2 error matrices;
+  grids and Step-2 error matrices; the disk store below is its only
+  on-disk format;
 * :mod:`repro.service.diskcache` — the disk-first store shared across
   thread *and* process workers (atomic writes, checksums, quarantine,
   cross-process LRU eviction);
@@ -49,15 +45,6 @@ metrics schema.
 
 from __future__ import annotations
 
-from repro.service.batching import (
-    Step2BatchCoordinator,
-    step2_fingerprint,
-)
-from repro.service.tiering import (
-    DEFAULT_TIER_THRESHOLD,
-    BackendTieringPolicy,
-    TierDecision,
-)
 from repro.service.cache import (
     ArtifactCache,
     CacheBackend,
@@ -133,9 +120,4 @@ __all__ = [
     "HttpFrontConfig",
     "JobEventBroker",
     "MosaicServiceClient",
-    "Step2BatchCoordinator",
-    "step2_fingerprint",
-    "BackendTieringPolicy",
-    "TierDecision",
-    "DEFAULT_TIER_THRESHOLD",
 ]

@@ -12,7 +12,7 @@ the same Step-1/Step-2 entries and skip straight to Step 3.
 Storage backends implement the small :class:`CacheBackend` protocol:
 
 * :class:`ArtifactCache` — thread-safe in-memory LRU with a byte budget
-  and optional disk spill of evicted entries;
+  (evicted entries are recomputed on the next miss);
 * :class:`~repro.service.diskcache.DiskCacheStore` — a disk-first store
   shared across *processes* (content-addressed files, atomic writes,
   checksums, cross-process LRU eviction);
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import threading
 from collections import OrderedDict
@@ -129,8 +128,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    spill_writes: int = 0
-    spill_reads: int = 0
     current_bytes: int = 0
     entries: int = 0
 
@@ -146,8 +143,6 @@ class CacheStats:
             "misses": self.misses,
             "hit_rate": self.hit_rate,
             "evictions": self.evictions,
-            "spill_writes": self.spill_writes,
-            "spill_reads": self.spill_reads,
             "current_bytes": self.current_bytes,
             "entries": self.entries,
         }
@@ -160,27 +155,23 @@ class _Entry:
 
 
 class ArtifactCache:
-    """Thread-safe content-addressed LRU cache with optional disk spill.
+    """Thread-safe content-addressed in-memory LRU cache.
 
     Parameters
     ----------
     max_bytes:
-        In-memory budget; least-recently-used entries are evicted (and
-        spilled, when ``spill_dir`` is set) once the budget is exceeded.
-        A single payload larger than the budget is still admitted alone.
-    spill_dir:
-        Directory for evicted entries (created on demand).  ``None``
-        disables spilling: evicted entries are simply recomputed on the
-        next miss.
+        In-memory budget; least-recently-used entries are evicted once
+        the budget is exceeded and recomputed on their next miss.  A
+        single payload larger than the budget is still admitted alone.
+        Persistence across processes and runs is the
+        :class:`~repro.service.diskcache.DiskCacheStore`'s job (put one
+        behind this cache with :class:`CacheStack`).
     """
 
-    def __init__(
-        self, max_bytes: int = 256 * 2**20, spill_dir: str | os.PathLike | None = None
-    ) -> None:
+    def __init__(self, max_bytes: int = 256 * 2**20) -> None:
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = int(max_bytes)
-        self.spill_dir = os.fspath(spill_dir) if spill_dir is not None else None
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
         self._lock = threading.RLock()
         self._stats = CacheStats()
@@ -193,13 +184,9 @@ class ArtifactCache:
         return default if value is _MISS else value
 
     def contains(self, key: str) -> bool:
-        """Whether ``key`` is resident (memory or spill) — no stats impact."""
+        """Whether ``key`` is resident — no stats impact."""
         with self._lock:
-            if key in self._entries:
-                return True
-        return self._spill_path(key) is not None and os.path.exists(
-            self._spill_path(key)
-        )
+            return key in self._entries
 
     def put(self, key: str, value: Any, nbytes: int | None = None) -> None:
         """Insert/replace ``key``; evicts LRU entries to honour the budget."""
@@ -256,69 +243,17 @@ class ArtifactCache:
                 self._entries.move_to_end(key)
                 self._stats.hits += 1
                 return entry.value
-        value = self._load_spilled(key)
-        with self._lock:
-            if value is not _MISS:
-                self._stats.hits += 1
-                self._stats.spill_reads += 1
-            else:
-                self._stats.misses += 1
-        if value is not _MISS:
-            self.put(key, value)
-        return value
+            self._stats.misses += 1
+            return _MISS
 
     def _evict_over_budget(self) -> None:
         # Caller holds the lock.  Never evict the entry just inserted
         # (last), so oversized payloads are admitted alone.
         while self._stats.current_bytes > self.max_bytes and len(self._entries) > 1:
-            key, entry = self._entries.popitem(last=False)
+            _, entry = self._entries.popitem(last=False)
             self._stats.current_bytes -= entry.nbytes
             self._stats.evictions += 1
             self._stats.entries = len(self._entries)
-            self._spill(key, entry.value)
-
-    def _spill_path(self, key: str) -> str | None:
-        if self.spill_dir is None:
-            return None
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
-        return os.path.join(self.spill_dir, f"{digest}.pkl")
-
-    def _spill(self, key: str, value: Any) -> None:
-        path = self._spill_path(key)
-        if path is None:
-            return
-        os.makedirs(self.spill_dir, exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        try:
-            # Atomic publish: a spill file only becomes visible complete.
-            # The fsync closes the crash window where os.replace survives
-            # a power cut but the data blocks don't — a writer killed at
-            # any point leaves either the old entry or an invisible temp,
-            # never a torn .pkl (the crash-window regression test kills a
-            # spilling process mid-write and reloads the store).
-            with open(tmp, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            with self._lock:
-                self._stats.spill_writes += 1
-        except (OSError, pickle.PicklingError):
-            # Spilling is best-effort; a full disk degrades to recompute.
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-
-    def _load_spilled(self, key: str) -> Any:
-        path = self._spill_path(key)
-        if path is None or not os.path.exists(path):
-            return _MISS
-        try:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError):
-            return _MISS
 
 
 # -- the two-tier stack --------------------------------------------------
@@ -385,16 +320,10 @@ class CacheStack:
         return self.disk is not None and getattr(self.disk, "process_safe", False)
 
     def __getstate__(self) -> dict:
-        return {
-            "memory_max_bytes": self.memory.max_bytes,
-            "memory_spill_dir": self.memory.spill_dir,
-            "disk": self.disk,
-        }
+        return {"memory_max_bytes": self.memory.max_bytes, "disk": self.disk}
 
     def __setstate__(self, state: dict) -> None:
-        self.memory = ArtifactCache(
-            max_bytes=state["memory_max_bytes"], spill_dir=state["memory_spill_dir"]
-        )
+        self.memory = ArtifactCache(max_bytes=state["memory_max_bytes"])
         self.disk = state["disk"]
 
     # -- CacheBackend ----------------------------------------------------

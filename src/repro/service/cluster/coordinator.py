@@ -6,12 +6,10 @@ the exact single-box protocol — ``POST /v1/jobs``, ``GET
 :class:`~repro.service.client.MosaicServiceClient` works against a
 cluster unchanged.  Behind that surface the coordinator:
 
-* **shards jobs** with rendezvous hashing on the job's Step-2 batch
-  fingerprint (same-fingerprint jobs land on one node, where the node's
-  :class:`~repro.service.batching.Step2BatchCoordinator` can coalesce
-  their Step-2 launches into one batched kernel), falling back to a
-  content hash of the spec; the ranked rendezvous order doubles as the
-  failover sequence when a node refuses (429) or is unreachable;
+* **shards jobs** with rendezvous hashing on a content hash of the
+  job payload (resubmissions land on the node that already holds their
+  cache entries); the ranked rendezvous order doubles as the failover
+  sequence when a node refuses (429) or is unreachable;
 * **replicates event logs**: every dispatched job gets a coordinator-side
   :class:`~repro.service.http.broker.EventLog` fed by a pump task that
   streams the node's NDJSON events and renumbers them into one
@@ -39,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.service.batching import step2_fingerprint
 from repro.service.cache import config_fingerprint
 from repro.service.cluster.membership import ClusterMembership, NodeInfo
 from repro.service.cluster.rpc import RpcError, request_json, stream_ndjson
@@ -249,18 +246,14 @@ class ClusterCoordinator:
 
     @staticmethod
     def shard_key_for(spec, payload: dict) -> str:
-        """Content hash, scoped by the Step-2 batch fingerprint.
+        """Content hash of the job payload.
 
         The content hash spreads distinct jobs across the cluster (a
         homogeneous workload must not pile onto one node), while
         resubmissions of the *same* spec land on the same node — their
-        cache entries and event history are already there.  The batch
-        fingerprint rides along as a prefix purely for observability:
-        two keys with the same prefix could have shared a batched
-        Step-2 launch had they landed together.
+        cache entries and event history are already there.
         """
-        fingerprint = step2_fingerprint(spec) or "unbatched"
-        return f"{fingerprint}#{config_fingerprint(payload)}"
+        return config_fingerprint(payload)
 
     async def _dispatch(self, payload: dict, shard_key: str, exclude: set[str]):
         """Walk the rendezvous ranking until a live node admits the job.

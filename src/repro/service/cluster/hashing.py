@@ -2,9 +2,8 @@
 
 Both shard assignments in the cluster use the same primitive:
 
-* the coordinator shards *jobs* across worker nodes by their batch
-  fingerprint (so concurrent same-fingerprint jobs land on one node and
-  can share a batched Step-2 launch) or, failing that, their job id;
+* the coordinator shards *jobs* across worker nodes by a content hash
+  of their payload (so resubmissions land where their artifacts are);
 * every node shards *cache keys* across the membership so each
   content-addressed artifact has exactly one owner node that serialises
   computes (cross-node single-flight) and holds the authoritative copy.

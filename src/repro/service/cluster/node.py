@@ -50,9 +50,8 @@ _MISS = object()
 class PacedRunner:
     """Wrap a job runner with a minimum wall-clock duration per job.
 
-    Forwards the context/batcher capabilities of the wrapped runner, so
-    the pool treats it exactly like the runner underneath; the batcher
-    handed to us is passed straight through.
+    Forwards the context capability of the wrapped runner, so the pool
+    treats it exactly like the runner underneath.
     """
 
     def __init__(self, inner, floor_seconds: float) -> None:
@@ -61,15 +60,6 @@ class PacedRunner:
         self.inner = inner
         self.floor_seconds = floor_seconds
         self.accepts_context = bool(getattr(inner, "accepts_context", False))
-        self.accepts_batcher = bool(getattr(inner, "accepts_batcher", False))
-
-    @property
-    def batcher(self):
-        return getattr(self.inner, "batcher", None)
-
-    @batcher.setter
-    def batcher(self, value) -> None:
-        self.inner.batcher = value
 
     def __call__(self, spec, ctx=None):
         started = time.monotonic()

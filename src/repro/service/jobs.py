@@ -377,9 +377,4 @@ class JobRecord:
                 # the same keys (``pairs_evaluated``, ``fallback``), so
                 # reports aggregate shortlist work uniformly.
                 out["shortlist"] = dict(meta["shortlist"])
-            if isinstance(meta.get("batch"), dict):
-                # Cross-job batched Step-2 participation (launch size and
-                # coalescing fingerprint) — worker-side provenance, like
-                # the cache/shortlist blocks above.
-                out["batch"] = dict(meta["batch"])
         return out

@@ -119,8 +119,6 @@ class MosaicJobRunner:
     """
 
     accepts_context = True
-    #: The pool may attach a Step2BatchCoordinator (thread executors).
-    accepts_batcher = True
 
     def __init__(
         self,
@@ -131,17 +129,13 @@ class MosaicJobRunner:
         self.cache = cache
         self.outdir = outdir
         self.default_backend = default_backend
-        self.batcher = None
 
     def __getstate__(self) -> dict:
         cache = self.cache if getattr(self.cache, "process_safe", False) else None
-        # The batcher (locks + conditions) cannot cross a process
-        # boundary: process workers run solo Step-2 launches instead.
         return {
             "cache": cache,
             "outdir": self.outdir,
             "default_backend": self.default_backend,
-            "batcher": None,
         }
 
     def __call__(self, spec: JobSpec, ctx: JobContext | None = None):
@@ -172,9 +166,7 @@ class MosaicJobRunner:
         input_image = resolve_image(spec.input, spec.size)
         target_image = resolve_image(spec.target, spec.size)
         generator = PhotomosaicGenerator(
-            spec.to_config(self.default_backend),
-            cache=self.cache,
-            batcher=self.batcher,
+            spec.to_config(self.default_backend), cache=self.cache
         )
         return generator.generate(input_image, target_image, observer=observer)
 
@@ -222,23 +214,6 @@ class WorkerPool:
         Time source for backoff sleeps (anything with ``sleep`` and
         ``monotonic``); defaults to :class:`SystemClock`.  Tests inject a
         fake clock to make retry timing deterministic.
-    tiering:
-        Optional :class:`~repro.service.tiering.BackendTieringPolicy`:
-        jobs that left ``spec.backend`` open are routed by predicted
-        Step-2 cost at submit time (an explicit spec backend always
-        wins).  Routing decisions tick ``tier_routed_<backend>`` /
-        ``tier_fallback_total`` counters and the per-backend
-        ``backend_queue_depth_<backend>`` gauges.
-    batch_window / batch_max:
-        ``batch_window > 0`` attaches a
-        :class:`~repro.service.batching.Step2BatchCoordinator` to the
-        runner (when it advertises ``accepts_batcher``): concurrent
-        same-fingerprint jobs then share one batched Step-2 launch,
-        with the window bounding the added latency and ``batch_max``
-        the jobs per launch.  Thread pools only — the live coordinator
-        cannot cross a process boundary, so ``batch_window > 0`` with
-        ``kind="process"`` raises :class:`~repro.exceptions.JobError`
-        instead of silently running solo launches.
     """
 
     def __init__(
@@ -255,9 +230,6 @@ class WorkerPool:
         default_timeout: float | None = None,
         seed: int | None = 0,
         clock: SystemClock | None = None,
-        tiering=None,
-        batch_window: float = 0.0,
-        batch_max: int = 8,
     ) -> None:
         if workers < 1:
             raise JobError(f"workers must be >= 1, got {workers}")
@@ -265,19 +237,6 @@ class WorkerPool:
             raise JobError(f"unknown executor kind {kind!r} (use {EXECUTOR_KINDS})")
         if max_retries < 0:
             raise JobError(f"max_retries must be >= 0, got {max_retries}")
-        if batch_window < 0:
-            raise JobError(f"batch_window must be >= 0, got {batch_window}")
-        if batch_window > 0 and kind == "process":
-            # The live coordinator (locks + condition variables) cannot
-            # be pickled into process workers; silently dropping it used
-            # to leave users paying the batch-window latency for solo
-            # launches.  Fail loudly instead.
-            raise JobError(
-                "batch_window requires a thread executor: the Step-2 batch "
-                "coordinator cannot cross a process boundary, so "
-                "kind='process' pools always run solo Step-2 launches "
-                "(drop --batch-window or switch to --executor thread)"
-            )
         self.workers = workers
         self.kind = kind
         self.cache = cache
@@ -288,26 +247,9 @@ class WorkerPool:
         self.backoff_factor = backoff_factor
         self.default_timeout = default_timeout
         self.clock = clock if clock is not None else SystemClock()
-        self.tiering = tiering
-        self.batcher = None
-        if (
-            batch_window > 0
-            and kind == "thread"
-            and getattr(self.runner, "accepts_batcher", False)
-        ):
-            from repro.service.batching import Step2BatchCoordinator
-
-            self.batcher = Step2BatchCoordinator(
-                window_s=batch_window,
-                max_batch=batch_max,
-                metrics=self.metrics,
-            )
-            self.runner.batcher = self.batcher
         self.timings = TimingBreakdown()  # phase-wise sum over all DONE jobs
         self._queue = JobQueue()
         self._records: dict[str, JobRecord] = {}
-        self._announced: dict[str, str] = {}  # job_id -> batch fingerprint
-        self._queued_backends: dict[str, str] = {}  # job_id -> backend name
         self._submitted = 0
         self._open = 0  # submitted but not yet terminal
         self._state_lock = threading.Lock()
@@ -349,72 +291,15 @@ class WorkerPool:
             index = self._submitted
             self._submitted += 1
             self._open += 1
-        if self.tiering is not None:
-            decision = self.tiering.route(spec)
-            self.metrics.counter(
-                f"tier_routed_{decision.backend}",
-                "jobs routed to this backend by the tiering policy",
-            ).inc()
-            if decision.reason == "fallback":
-                self.metrics.counter(
-                    "tier_fallback_total",
-                    "large-tier backend unavailable, NumPy substituted",
-                ).inc()
-            if decision.reason != "override":
-                from dataclasses import replace
-
-                spec = replace(spec, backend=decision.backend)
         record = JobRecord(spec=spec, job_id=spec.job_id(index))
         if observer is not None:
             record.set_observer(observer)
-        if self.batcher is not None:
-            from repro.service.batching import step2_fingerprint
-
-            fingerprint = step2_fingerprint(
-                spec, getattr(self.runner, "default_backend", None)
-            )
-            if fingerprint is not None:
-                # Announce before queueing: a worker that pops this job
-                # must find its peers already counted, or the batch
-                # leader would close the window early.
-                with self._state_lock:
-                    self._announced[record.job_id] = fingerprint
-                self.batcher.announce(fingerprint)
         with self._state_lock:
             self._records[record.job_id] = record
         self._queue.push(record)
         self.metrics.counter("jobs_submitted").inc()
         self.metrics.gauge("queue_depth").set(len(self._queue))
-        backend = spec.resolve_backend(
-            getattr(self.runner, "default_backend", None)
-        )
-        with self._state_lock:
-            self._queued_backends[record.job_id] = backend
-        self._backend_gauge(backend).inc()
         return record
-
-    def _backend_gauge(self, backend: str):
-        """Per-backend queue-depth gauge (name-suffixed, no labels)."""
-        return self.metrics.gauge(
-            f"backend_queue_depth_{backend}",
-            "queued jobs resolved to this array backend",
-        )
-
-    def _leave_queue(self, job_id: str) -> None:
-        """Decrement the per-backend depth gauge once per dequeued job."""
-        with self._state_lock:
-            backend = self._queued_backends.pop(job_id, None)
-        if backend is not None:
-            self._backend_gauge(backend).dec()
-
-    def _withdraw(self, job_id: str) -> None:
-        """Drop a job's batch announcement (idempotent)."""
-        if self.batcher is None:
-            return
-        with self._state_lock:
-            fingerprint = self._announced.pop(job_id, None)
-        if fingerprint is not None:
-            self.batcher.depart(fingerprint)
 
     def run(self, specs: Iterable[JobSpec]) -> Sequence[JobRecord]:
         """Submit a batch, wait for every job to finish, return the records."""
@@ -436,8 +321,6 @@ class WorkerPool:
         if self._queue.cancel(job_id):
             self.metrics.counter("jobs_cancelled").inc()
             self.metrics.gauge("queue_depth").set(len(self._queue))
-            self._leave_queue(job_id)
-            self._withdraw(job_id)
             self._mark_terminal()
             return True
         with self._state_lock:
@@ -477,13 +360,6 @@ class WorkerPool:
                 self._all_done.notify_all()
         for thread in self._threads:
             thread.join(timeout=timeout)
-        # Jobs cancelled wholesale by a non-draining close never reach a
-        # worker, so their queue-side bookkeeping is settled here.
-        with self._state_lock:
-            leftover = list(self._queued_backends)
-        for job_id in leftover:
-            self._leave_queue(job_id)
-            self._withdraw(job_id)
         from repro.accel.shm import reap_stale_segments
 
         reap_stale_segments(self.metrics)
@@ -507,15 +383,7 @@ class WorkerPool:
             if record is None:
                 return
             self.metrics.gauge("queue_depth").set(len(self._queue))
-            self._leave_queue(record.job_id)
-            try:
-                self._execute(record, rng)
-            finally:
-                # The batch announcement must be withdrawn on every exit
-                # path (done, failed, cancelled, crashed) or a leader
-                # would keep holding windows open for a peer that will
-                # never arrive.
-                self._withdraw(record.job_id)
+            self._execute(record, rng)
             self._mark_terminal()
 
     def _execute(self, record: JobRecord, rng) -> None:
@@ -633,18 +501,6 @@ class WorkerPool:
                         shortlist.get("pairs_evaluated", 0)
                     ),
                     "shortlist_fallback_total": int(shortlist.get("fallback", 0)),
-                }
-            )
-        if isinstance(meta, dict) and isinstance(meta.get("batch"), dict):
-            # Batched Step-2 participation travels in the result meta
-            # exactly like the shortlist stats, so it survives the
-            # process boundary and folds into the pool registry here.
-            batch = meta["batch"]
-            size = int(batch.get("size", 0))
-            self.metrics.merge_counts(
-                {
-                    "batch_meta_jobs_total": 1 if size > 0 else 0,
-                    "batch_meta_shared_total": 1 if size > 1 else 0,
                 }
             )
 

@@ -64,6 +64,54 @@ class TestErrorMatrix:
         assert m.shape == (64, 64)
 
 
+class TestSADKernel:
+    """The cache-resident SAD kernel behind every dense Step-2 caller."""
+
+    @staticmethod
+    def _rows_per_block(s: int, f: int) -> int:
+        from repro.cost.sad import BLOCK_ELEMENTS
+
+        return max(1, BLOCK_ELEMENTS // (s * f))
+
+    @pytest.mark.parametrize(
+        "kind, s, shape",
+        [
+            ("grey", 70, (16, 16)),
+            ("colour", 100, (8, 8, 3)),
+            ("extreme", 70, (16, 16)),
+        ],
+    )
+    def test_partial_last_block_matches_reference(self, kind, s, shape, rng):
+        f = int(np.prod(shape))
+        rows = self._rows_per_block(s, f)
+        # More than one block, and a last block shorter than the others.
+        assert rows < s and s % rows != 0
+        if kind == "extreme":
+            tiles_in = rng.choice(np.array([0, 255], dtype=np.uint8), (s, *shape))
+            tiles_tg = rng.choice(np.array([0, 255], dtype=np.uint8), (s, *shape))
+        else:
+            tiles_in = rng.integers(0, 256, (s, *shape), dtype=np.uint8)
+            tiles_tg = rng.integers(0, 256, (s, *shape), dtype=np.uint8)
+        got = error_matrix(tiles_in, tiles_tg, "sad")
+        assert got.dtype == np.int64
+        assert (got == error_matrix_reference(tiles_in, tiles_tg)).all()
+
+    def test_peak_memory_stays_near_the_output(self, rng):
+        """The kernel's scratch is a few MiB, not a chunk-wide broadcast."""
+        import tracemalloc
+
+        s, side = 1024, 16
+        tiles_in = rng.integers(0, 256, (s, side, side), dtype=np.uint8)
+        tiles_tg = rng.integers(0, 256, (s, side, side), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            error_matrix(tiles_in, tiles_tg, "sad")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < s * s * 8 + 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestTotalError:
     def test_identity_is_trace(self, small_error_matrix):
         perm = np.arange(small_error_matrix.shape[0])

@@ -9,8 +9,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.exceptions import JobError
-from repro.service import JobSpec, WorkerPool
+from repro.service import JobSpec
 from repro.service.cluster import NodeRpcClient, PacedRunner, RpcError
 from repro.service.diskcache import encode_payload
 from repro.service.http.protocol import HttpError
@@ -39,18 +38,12 @@ class TestPacedRunner:
     def test_forwards_capabilities_and_context(self):
         class Inner:
             accepts_context = True
-            accepts_batcher = True
-            batcher = None
 
             def __call__(self, spec, ctx=None):
                 return ("ran", ctx)
 
-        inner = Inner()
-        runner = PacedRunner(inner, floor_seconds=0.0)
-        assert runner.accepts_context and runner.accepts_batcher
-        runner.batcher = "a-batcher"
-        assert inner.batcher == "a-batcher"
-        assert runner.batcher == "a-batcher"
+        runner = PacedRunner(Inner(), floor_seconds=0.0)
+        assert runner.accepts_context
         result, ctx = runner(
             JobSpec(input="portrait", target="sailboat"), "the-ctx"
         )
@@ -203,23 +196,3 @@ class TestSpecValidation:
         spec = spec_from_payload(spec_dict("ok"))
         assert isinstance(spec, JobSpec)
         assert spec.name == "ok"
-
-
-class TestBatchWindowProcessGuard:
-    def test_process_pool_with_batch_window_rejected(self):
-        with pytest.raises(JobError, match="thread executor"):
-            WorkerPool(
-                workers=1,
-                runner=lambda spec: None,
-                kind="process",
-                batch_window=0.05,
-            )
-
-    def test_thread_pool_with_batch_window_allowed(self):
-        pool = WorkerPool(
-            workers=1,
-            runner=lambda spec: None,
-            kind="thread",
-            batch_window=0.05,
-        )
-        pool.shutdown()

@@ -2,21 +2,17 @@
 
 Process executors ship the runner *to* the worker and the
 ``MosaicResult`` *back* — both cross a pickle boundary.  The counters
-the pool folds from result meta (``shortlist_*``, ``batch_meta_*``)
-only work if the meta blocks survive that trip, and the runner only
-works if its un-picklable batch coordinator is dropped on the way out.
-This suite pins both directions.
+the pool folds from result meta (``shortlist_*``) only work if the meta
+blocks survive that trip.
 """
 
 from __future__ import annotations
 
 import pickle
 
-import pytest
-
 from repro.service.jobs import JobSpec, JobState
 from repro.service.metrics import MetricsRegistry
-from repro.service.workers import MosaicJobRunner, WorkerPool
+from repro.service.workers import WorkerPool
 
 
 def _sparse_spec(**kwargs) -> JobSpec:
@@ -32,36 +28,17 @@ def _sparse_spec(**kwargs) -> JobSpec:
     return JobSpec(**base)
 
 
-def test_runner_pickle_drops_the_batcher():
-    """The live coordinator (locks + conditions) must not cross a
-    process boundary; the clone falls back to solo launches."""
-    from repro.service.batching import Step2BatchCoordinator
-
-    runner = MosaicJobRunner(default_backend="numpy")
-    runner.batcher = Step2BatchCoordinator(window_s=0.01)
-    clone = pickle.loads(pickle.dumps(runner))
-    assert clone.batcher is None
-    assert clone.default_backend == "numpy"
-
-
 def test_result_meta_survives_a_pickle_round_trip():
     """Direct check on the payload the process executor ships back."""
     from repro.mosaic.generator import PhotomosaicGenerator
-    from repro.service.batching import Step2BatchCoordinator, step2_fingerprint
     from repro.service.workers import resolve_image
 
-    batcher = Step2BatchCoordinator(window_s=0.01)
-    batcher.announce(step2_fingerprint(_sparse_spec()))
-    generator = PhotomosaicGenerator(
-        _sparse_spec().to_config(), batcher=batcher
-    )
+    generator = PhotomosaicGenerator(_sparse_spec().to_config())
     result = generator.generate(
         resolve_image("portrait", 64), resolve_image("sailboat", 64)
     )
-    assert result.meta["batch"]["size"] == 1
     assert result.meta["shortlist"]["pairs_evaluated"] > 0
     clone = pickle.loads(pickle.dumps(result))
-    assert clone.meta["batch"] == result.meta["batch"]
     assert clone.meta["shortlist"] == result.meta["shortlist"]
 
 
@@ -80,27 +57,3 @@ def test_process_pool_folds_shortlist_counters():
         metrics.counter("shortlist_pairs_evaluated").value
         == shortlist["pairs_evaluated"]
     )
-    # Process workers have no batcher, so no batch meta and no
-    # batch_meta_* counters — solo fallback, not a crash.
-    assert "batch" not in record.summary()
-    assert metrics.counter("batch_meta_jobs_total").value == 0
-
-
-def test_thread_pool_folds_batch_meta_counters():
-    """meta["batch"] folds into batch_meta_* exactly once per job."""
-    metrics = MetricsRegistry()
-    specs = [_sparse_spec(name=f"job-{i}") for i in range(2)]
-    with WorkerPool(
-        workers=2, metrics=metrics, batch_window=1.0
-    ) as pool:
-        records = pool.run(specs)
-    for record in records:
-        assert record.state is JobState.DONE, record.error
-        assert record.summary()["batch"]["size"] >= 1
-    counters = metrics.as_dict()["counters"]
-    assert counters["batch_meta_jobs_total"] == 2
-    # Both jobs share one launch when the rendezvous forms; either way
-    # the shared counter can never exceed the per-job one.
-    assert counters.get("batch_meta_shared_total", 0) <= counters[
-        "batch_meta_jobs_total"
-    ]
