@@ -73,13 +73,7 @@ class FrontHarness:
         return asyncio.run_coroutine_threadsafe(coro, self.loop).result(60)
 
     def close(self) -> None:
-        async def stop():
-            await self.gateway.aclose(drain=True)
-            await self.front.broker.drain()
-            await self.front.aclose()
-
-        self.run(stop())
-        self.pool.shutdown()
+        self.run(self.front.drain())
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=10)
         self.loop.close()

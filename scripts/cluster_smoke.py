@@ -16,48 +16,20 @@ Usage: PYTHONPATH=src python scripts/cluster_smoke.py
 
 from __future__ import annotations
 
-import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+import smoke_harness as harness
+from smoke_harness import listening, spawn
 
-from repro.imaging import save_image  # noqa: E402
-from repro.library import (  # noqa: E402
-    LibraryIndex,
-    synthetic_target,
-    write_synthetic_library,
-)
-from repro.service.client import MosaicServiceClient  # noqa: E402
+from repro.imaging import save_image
+from repro.library import LibraryIndex, synthetic_target, write_synthetic_library
+from repro.service.client import MosaicServiceClient
 
 FLOOR = 2.0  # paced jobs give the crash a comfortable mid-stream window
-
-
-def spawn(argv: list[str]) -> subprocess.Popen:
-    env = dict(os.environ)
-    env.setdefault("PYTHONPATH", "src")
-    env["PYTHONUNBUFFERED"] = "1"
-    env.pop("PHOTOMOSAIC_TOKEN", None)
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=True,
-    )
-
-
-def listening(process: subprocess.Popen) -> dict:
-    line = process.stdout.readline()
-    if not line:
-        raise RuntimeError(f"early exit: {process.stderr.read()[-2000:]}")
-    info = json.loads(line)
-    assert info["kind"] == "listening", info
-    return info
 
 
 def library_assets(root: str) -> tuple[str, str]:
@@ -72,9 +44,7 @@ def library_assets(root: str) -> tuple[str, str]:
 
 
 def check_stream(events: list[dict]) -> None:
-    assert [e["seq"] for e in events] == list(range(len(events))), events
-    assert [e["terminal"] for e in events].count(True) == 1
-    assert events[-1]["payload"]["state"] == "DONE", events[-1]
+    harness.check_stream(events)
     assert events[-1]["payload"].get("result_digest"), events[-1]
     assert all("ts" in (e.get("payload") or {}) for e in events)
 
@@ -83,25 +53,21 @@ def main() -> int:  # noqa: PLR0915 - one linear smoke scenario
     root = tempfile.mkdtemp(prefix="cluster-smoke-")
     npz, target = library_assets(root)
 
-    coordinator = spawn(
-        ["serve-cluster", "--port", "0", "--heartbeat-deadline", "1.0"]
-    )
+    coordinator = spawn("serve-cluster", "--port", "0", "--heartbeat-deadline", "1.0")
     nodes: dict[str, subprocess.Popen] = {}
     try:
         port = listening(coordinator)["port"]
         for node_id in ("w0", "w1"):
             node = spawn(
-                [
-                    "serve-node",
-                    "--coordinator", f"127.0.0.1:{port}",
-                    "--node-id", node_id,
-                    "--port", "0",
-                    "--workers", "2",
-                    "--job-floor-seconds", str(FLOOR),
-                    "--heartbeat-interval", "0.3",
-                    "--outdir", os.path.join(root, node_id, "out"),
-                    "--cache-dir", os.path.join(root, node_id, "cache"),
-                ]
+                "serve-node",
+                "--coordinator", f"127.0.0.1:{port}",
+                "--node-id", node_id,
+                "--port", "0",
+                "--workers", "2",
+                "--job-floor-seconds", str(FLOOR),
+                "--heartbeat-interval", "0.3",
+                "--outdir", os.path.join(root, node_id, "out"),
+                "--cache-dir", os.path.join(root, node_id, "cache"),
             )
             listening(node)
             nodes[node_id] = node
@@ -179,14 +145,8 @@ def main() -> int:  # noqa: PLR0915 - one linear smoke scenario
         assert f'node_up_{survivor}' in " ".join(samples)
 
         # --- graceful drain of the survivors ---------------------------
-        nodes[survivor].send_signal(signal.SIGTERM)
-        out, err = nodes[survivor].communicate(timeout=60)
-        assert nodes[survivor].returncode == 0, f"node exit:\n{err}"
-        assert json.loads(out.splitlines()[-1])["kind"] == "drained"
-        coordinator.send_signal(signal.SIGTERM)
-        out, err = coordinator.communicate(timeout=60)
-        assert coordinator.returncode == 0, f"coordinator exit:\n{err}"
-        assert json.loads(out.splitlines()[-1])["kind"] == "drained"
+        harness.drain(nodes[survivor])
+        harness.drain(coordinator)
 
         print(
             "cluster smoke ok:",
@@ -199,10 +159,7 @@ def main() -> int:  # noqa: PLR0915 - one linear smoke scenario
         )
         return 0
     finally:
-        for process in (*nodes.values(), coordinator):
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
+        harness.reap(*nodes.values(), coordinator)
 
 
 if __name__ == "__main__":

@@ -12,15 +12,11 @@ Usage: PYTHONPATH=src python scripts/http_smoke.py
 
 from __future__ import annotations
 
-import json
-import os
-import signal
-import subprocess
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+import smoke_harness as harness
 
-from repro.service.client import MosaicServiceClient  # noqa: E402
+from repro.service.client import MosaicServiceClient
 
 JOBS = [
     {"input": "portrait", "target": "sailboat", "size": 64, "tile_size": 8, "name": "a"},
@@ -30,10 +26,8 @@ JOBS = [
 
 
 def check_stream(events: list[dict]) -> None:
-    assert [e["seq"] for e in events] == list(range(len(events))), events
+    harness.check_stream(events)
     assert events[0]["kind"] == "admitted"
-    assert [e["terminal"] for e in events].count(True) == 1
-    assert events[-1]["payload"]["state"] == "DONE", events[-1]
     assert sum(e["kind"] == "phase" for e in events) >= 1
 
 
@@ -67,23 +61,12 @@ def check_metrics(text: str) -> None:
 
 
 def main() -> int:
-    env = dict(os.environ)
-    env.setdefault("PYTHONPATH", "src")
-    env["PYTHONUNBUFFERED"] = "1"
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve-http",
-            "--port", "0", "--workers", "2", "--outdir", "http_smoke_out",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=True,
+    process = harness.spawn(
+        "serve-http", "--port", "0", "--workers", "2", "--outdir", "http_smoke_out"
     )
     try:
-        listening = json.loads(process.stdout.readline())
-        assert listening["kind"] == "listening", listening
-        client = MosaicServiceClient(f"http://127.0.0.1:{listening['port']}")
+        port = harness.listening(process)["port"]
+        client = MosaicServiceClient(f"http://127.0.0.1:{port}")
 
         submitted = [client.submit(job) for job in JOBS]
         streams = {
@@ -104,11 +87,7 @@ def main() -> int:
         assert client.health()["status"] == "ok"
         check_metrics(client.metrics_text())
 
-        process.send_signal(signal.SIGTERM)
-        out, err = process.communicate(timeout=60)
-        assert process.returncode == 0, f"exit {process.returncode}:\n{err}"
-        final = json.loads(out.splitlines()[-1])
-        assert final["kind"] == "drained", final
+        final = harness.drain(process)
         assert final["jobs"] == len(JOBS), final
         print(
             "http smoke ok:",
@@ -116,9 +95,7 @@ def main() -> int:
         )
         return 0
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.communicate()
+        harness.reap(process)
 
 
 if __name__ == "__main__":

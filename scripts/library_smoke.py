@@ -17,18 +17,16 @@ Usage: PYTHONPATH=src python scripts/library_smoke.py
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
-import signal
 import subprocess
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+import smoke_harness as harness
 
-from repro.imaging import save_image  # noqa: E402
-from repro.library import synthetic_target, write_synthetic_library  # noqa: E402
-from repro.service.client import MosaicServiceClient  # noqa: E402
+from repro.imaging import save_image
+from repro.library import synthetic_target, write_synthetic_library
+from repro.service.client import MosaicServiceClient
 
 WORKDIR = "library_smoke_out"
 LIBRARY_IMAGES = 60
@@ -36,13 +34,11 @@ PHASES = ("ingest", "shortlist", "assign", "render")
 
 
 def run_cli(*args: str) -> str:
-    env = dict(os.environ)
-    env.setdefault("PYTHONPATH", "src")
     result = subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=harness.cli_env(),
         timeout=120,
     )
     assert result.returncode == 0, (
@@ -95,10 +91,8 @@ def library_job(npz: str, target: str, name: str) -> dict:
 
 
 def check_stream(events: list[dict]) -> None:
-    assert [e["seq"] for e in events] == list(range(len(events))), events
+    harness.check_stream(events)
     assert events[0]["kind"] == "admitted"
-    assert [e["terminal"] for e in events].count(True) == 1
-    assert events[-1]["payload"]["state"] == "DONE", events[-1]
     phases = [e["payload"]["phase"] for e in events if e["kind"] == "phase"]
     assert phases == list(PHASES), phases
 
@@ -122,23 +116,12 @@ def main() -> int:
     os.makedirs(WORKDIR, exist_ok=True)
     npz, target = build_library()
 
-    env = dict(os.environ)
-    env.setdefault("PYTHONPATH", "src")
-    env["PYTHONUNBUFFERED"] = "1"
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve-http",
-            "--port", "0", "--workers", "2", "--outdir", WORKDIR,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=True,
+    process = harness.spawn(
+        "serve-http", "--port", "0", "--workers", "2", "--outdir", WORKDIR
     )
     try:
-        listening = json.loads(process.stdout.readline())
-        assert listening["kind"] == "listening", listening
-        client = MosaicServiceClient(f"http://127.0.0.1:{listening['port']}")
+        port = harness.listening(process)["port"]
+        client = MosaicServiceClient(f"http://127.0.0.1:{port}")
 
         jobs = [
             client.submit(library_job(npz, target, name))
@@ -156,18 +139,12 @@ def main() -> int:
             f"library mosaic not deterministic: {digests}"
         )
 
-        process.send_signal(signal.SIGTERM)
-        out, err = process.communicate(timeout=60)
-        assert process.returncode == 0, f"exit {process.returncode}:\n{err}"
-        final = json.loads(out.splitlines()[-1])
-        assert final["kind"] == "drained", final
+        final = harness.drain(process)
         assert final["jobs"] == len(jobs), final
         print(f"library smoke ok: checksum {digests['lib-a'][:16]}")
         return 0
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.communicate()
+        harness.reap(process)
 
 
 if __name__ == "__main__":

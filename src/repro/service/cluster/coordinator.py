@@ -2,9 +2,11 @@
 
 One coordinator process fronts N worker nodes.  Clients speak to it with
 the exact single-box protocol — ``POST /v1/jobs``, ``GET
-/v1/jobs/{id}/events?from_seq=N``, ``DELETE /v1/jobs/{id}`` — so
-:class:`~repro.service.client.MosaicServiceClient` works against a
-cluster unchanged.  Behind that surface the coordinator:
+/v1/jobs/{id}/events?from_seq=N`` (NDJSON or WebSocket, under the same
+concurrent-stream limit), ``DELETE /v1/jobs/{id}`` — served by the same
+:class:`~repro.service.http.server.HttpServerCore` as a single-box
+front, so :class:`~repro.service.client.MosaicServiceClient` works
+against a cluster unchanged.  Behind that surface the coordinator:
 
 * **shards jobs** with rendezvous hashing on a content hash of the
   job payload (resubmissions land on the node that already holds their
@@ -42,56 +44,41 @@ from repro.service.cluster.membership import ClusterMembership, NodeInfo
 from repro.service.cluster.rpc import RpcError, request_json, stream_ndjson
 from repro.service.gateway import GatewayEvent
 from repro.service.http.broker import EventLog
-from repro.service.http.protocol import (
-    HttpError,
-    HttpRequest,
-    end_chunks,
-    read_request,
-    response_head,
-    send_json,
-    write_chunk,
-)
-from repro.service.http.server import spec_from_payload
+from repro.service.http.protocol import HttpError, HttpRequest
+from repro.service.http.server import HttpFrontConfig, HttpServerCore, spec_from_payload
 from repro.service.metrics import MetricsRegistry
 
 __all__ = ["ClusterJob", "ClusterCoordinator", "CoordinatorConfig"]
 
 
-class CoordinatorConfig:
-    """Bind address, auth, limits and failure-detection knobs."""
+class CoordinatorConfig(HttpFrontConfig):
+    """Listener settings plus the control plane's failure-detection knobs.
+
+    Bind address, auth, limits and ``retry_after`` are the
+    :class:`HttpFrontConfig` fields, with the coordinator's own defaults
+    for ``port`` (8700) and ``retain_terminal`` (1024).
+    """
 
     def __init__(
         self,
         *,
-        host: str = "127.0.0.1",
-        port: int = 8700,
-        auth_token: str | None = None,
         heartbeat_deadline: float = 3.0,
         sweep_interval: float | None = None,
         max_pending: int = 256,
-        retain_terminal: int = 1024,
-        max_body_bytes: int = 1 << 20,
-        max_header_bytes: int = 32 * 1024,
-        retry_after: float = 1.0,
         pump_retry: float = 0.25,
         rpc_timeout: float = 10.0,
+        port: int = 8700,
+        retain_terminal: int = 1024,
+        **listener,
     ) -> None:
+        super().__init__(port=port, retain_terminal=retain_terminal, **listener)
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if retain_terminal < 1:
-            raise ValueError(f"retain_terminal must be >= 1, got {retain_terminal}")
-        self.host = host
-        self.port = port
-        self.auth_token = auth_token
         self.heartbeat_deadline = heartbeat_deadline
         self.sweep_interval = (
             sweep_interval if sweep_interval is not None else heartbeat_deadline / 3.0
         )
         self.max_pending = max_pending
-        self.retain_terminal = retain_terminal
-        self.max_body_bytes = max_body_bytes
-        self.max_header_bytes = max_header_bytes
-        self.retry_after = retry_after
         self.pump_retry = pump_retry
         self.rpc_timeout = rpc_timeout
 
@@ -132,12 +119,15 @@ class ClusterJob:
         }
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(HttpServerCore):
     """Coordinator front + control plane on one asyncio loop.
 
-    Lifecycle mirrors :class:`~repro.service.http.server.HttpFront`:
-    ``await start()`` binds (``.port`` holds the real port), ``await
-    aclose()`` drains pumps and releases the socket.
+    The HTTP side is the shared :class:`HttpServerCore`: the job routes
+    read the coordinator's :class:`ClusterJob` table, and the
+    ``/internal/v1/`` routes take node registrations and heartbeats.
+    ``await start()`` binds (``.port`` holds the real port) and starts
+    the failure detector; ``await aclose()`` stops it, cancels the pumps
+    and releases the socket.
     """
 
     def __init__(
@@ -146,33 +136,23 @@ class ClusterCoordinator:
         config: CoordinatorConfig | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.config = config if config is not None else CoordinatorConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        super().__init__(
+            config if config is not None else CoordinatorConfig(),
+            metrics if metrics is not None else MetricsRegistry(),
+        )
         self.membership = ClusterMembership(
             heartbeat_deadline=self.config.heartbeat_deadline, metrics=self.metrics
         )
         self.jobs: dict[str, ClusterJob] = {}
-        self.port: int | None = None
-        self._server: asyncio.AbstractServer | None = None
         self._sweep_task: asyncio.Task | None = None
         self._pumps: dict[str, asyncio.Task] = {}
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._draining = False
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> "ClusterCoordinator":
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         self._sweep_task = asyncio.create_task(self._sweep_loop())
         return self
-
-    def begin_drain(self) -> None:
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
 
     async def aclose(self) -> None:
         self.begin_drain()
@@ -188,17 +168,9 @@ class ClusterCoordinator:
         if self._pumps:
             await asyncio.gather(*self._pumps.values(), return_exceptions=True)
         self._pumps.clear()
-        if self._server is not None:
-            await self._server.wait_closed()
-        pending = [task for task in self._conn_tasks if not task.done()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-
-    async def __aenter__(self) -> "ClusterCoordinator":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.aclose()
+        for job in self.jobs.values():
+            job.log.close()  # no pump feeds it now: end its client streams
+        await super().aclose()
 
     # -- failure detection ------------------------------------------------
 
@@ -266,7 +238,7 @@ class ClusterCoordinator:
             raise HttpError(
                 503,
                 "no live worker nodes",
-                headers={"Retry-After": f"{self.config.retry_after:g}"},
+                headers=self.retry_headers(),
             )
         saw_full = False
         for node in candidates:
@@ -298,12 +270,12 @@ class ClusterCoordinator:
             raise HttpError(
                 429,
                 "every live node is at capacity",
-                headers={"Retry-After": f"{self.config.retry_after:g}"},
+                headers=self.retry_headers(),
             )
         raise HttpError(
             503,
             "no reachable worker node accepted the job",
-            headers={"Retry-After": f"{self.config.retry_after:g}"},
+            headers=self.retry_headers(),
         )
 
     async def submit(self, payload: dict) -> ClusterJob:
@@ -315,7 +287,7 @@ class ClusterCoordinator:
             raise HttpError(
                 429,
                 f"cluster admission full ({pending} pending)",
-                headers={"Retry-After": f"{self.config.retry_after:g}"},
+                headers=self.retry_headers(),
             )
         shard_key = self.shard_key_for(spec, payload)
         node, node_job_id = await self._dispatch(payload, shard_key, set())
@@ -471,177 +443,79 @@ class ClusterCoordinator:
         )
         return True
 
-    # -- HTTP front -------------------------------------------------------
+    # -- HTTP routes ------------------------------------------------------
 
-    async def _on_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader,
-                        max_header_bytes=self.config.max_header_bytes,
-                        max_body_bytes=self.config.max_body_bytes,
-                    )
-                except HttpError as exc:
-                    send_json(writer, exc.status, exc.body(), keep_alive=False)
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                keep_alive = await self._handle_request(request, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+    def _health(self) -> dict:
+        return {
+            "role": "coordinator",
+            "nodes_up": len(self.membership.live()),
+            "jobs": len(self.jobs),
+        }
 
-    async def _handle_request(self, request: HttpRequest, writer) -> bool:
-        self.metrics.counter("http_requests_total").inc()
-        try:
-            status, keep_alive = await self._route(request, writer)
-        except HttpError as exc:
-            status = exc.status
-            keep_alive = (
-                request.keep_alive
-                and exc.headers.get("Connection", "").lower() != "close"
-            )
-            send_json(
-                writer, exc.status, exc.body(), headers=exc.headers,
-                keep_alive=keep_alive,
-            )
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError, BrokenPipeError):
+    async def _submit(self, payload: dict) -> dict:
+        job = await self.submit(payload)
+        return {
+            "job_id": job.job_id,
+            "name": job.payload.get("name") or job.job_id,
+            "node": job.node_id,
+            "events": f"/v1/jobs/{job.job_id}/events",
+        }
+
+    def job_summaries(self) -> list[dict]:
+        return [job.summary() for job in self.jobs.values()]
+
+    def _job_summary(self, job_id: str) -> dict | None:
+        job = self.jobs.get(job_id)
+        return job.summary() if job is not None else None
+
+    def _event_log(self, job_id: str) -> EventLog | None:
+        job = self.jobs.get(job_id)
+        return job.log if job is not None else None
+
+    async def _cancel(self, job_id: str) -> bool:
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise HttpError(404, f"unknown job {job_id!r}")
+        node = self.membership.get(job.node_id)
+        if node is None or node.state != "up" or job.terminal:
             return False
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self.metrics.counter("http_internal_errors_total").inc()
-            try:
-                send_json(
-                    writer,
-                    500,
-                    {"error": f"internal error: {type(exc).__name__}: {exc}"},
-                    keep_alive=False,
-                )
-                await writer.drain()
-            except (ConnectionError, BrokenPipeError):
-                pass
+        try:
+            status, body = await request_json(
+                node.host,
+                node.port,
+                "DELETE",
+                f"/v1/jobs/{job.node_job_id}",
+                token=self.config.auth_token,
+                timeout=self.config.rpc_timeout,
+            )
+        except RpcError:
             return False
-        self.metrics.counter(f"http_responses_{status // 100}xx_total").inc()
-        return keep_alive
+        return status == 202 and bool(body.get("cancel_accepted"))
 
-    async def _route(self, request: HttpRequest, writer) -> tuple[int, bool]:
+    async def _route_extra(self, request: HttpRequest, writer) -> int:
         path, method = request.path, request.method
-        if path == "/healthz":
-            send_json(
-                writer,
-                200,
-                {
-                    "status": "draining" if self._draining else "ok",
-                    "role": "coordinator",
-                    "nodes_up": len(self.membership.live()),
-                    "jobs": len(self.jobs),
-                },
-                keep_alive=request.keep_alive,
-            )
-            return 200, request.keep_alive
-        if self._draining:
-            raise HttpError(
-                503,
-                "coordinator is draining",
-                headers={
-                    "Retry-After": f"{self.config.retry_after:g}",
-                    "Connection": "close",
-                },
-            )
-        if path == "/metrics" and method == "GET":
-            return self._get_metrics(request, writer), request.keep_alive
-        if path.startswith("/v1/") or path.startswith("/internal/v1/"):
-            self._authorize(request)
         if path == "/internal/v1/nodes" and method == "POST":
-            return await self._post_node(request, writer), request.keep_alive
+            return self._reply(request, writer, 200, await self._post_node(request))
         if path.startswith("/internal/v1/nodes/"):
             tail = path[len("/internal/v1/nodes/"):]
             if tail.endswith("/heartbeat") and method == "POST":
                 node_id = tail[: -len("/heartbeat")].rstrip("/")
-                return self._post_heartbeat(request, writer, node_id), request.keep_alive
+                self._post_heartbeat(request, node_id)
+                return self._reply(request, writer, 200, {"ok": True})
             if "/" not in tail and method == "DELETE":
-                return await self._delete_node(request, writer, tail), request.keep_alive
+                self.membership.remove(tail)
+                await self.push_membership()
+                return self._reply(request, writer, 200, {"removed": tail})
         if path == "/internal/v1/cluster" and method == "GET":
-            send_json(
-                writer,
-                200,
-                {
-                    "version": self.membership.version,
-                    "nodes": [info.summary() for info in self.membership.all()],
-                    "jobs": len(self.jobs),
-                },
-                keep_alive=request.keep_alive,
-            )
-            return 200, request.keep_alive
-        if path == "/v1/jobs":
-            if method == "POST":
-                return await self._post_job(request, writer), request.keep_alive
-            if method == "GET":
-                send_json(
-                    writer,
-                    200,
-                    {"jobs": [job.summary() for job in self.jobs.values()]},
-                    keep_alive=request.keep_alive,
-                )
-                return 200, request.keep_alive
-            raise HttpError(405, f"{method} not allowed on {path}")
-        if path.startswith("/v1/jobs/"):
-            tail = path[len("/v1/jobs/"):]
-            if tail.endswith("/events") and method == "GET":
-                job_id = tail[: -len("/events")].rstrip("/")
-                return (
-                    await self._get_events(request, writer, job_id),
-                    request.keep_alive,
-                )
-            if "/" not in tail:
-                if method == "GET":
-                    job = self.jobs.get(tail)
-                    if job is None:
-                        raise HttpError(404, f"unknown job {tail!r}")
-                    send_json(writer, 200, job.summary(), keep_alive=request.keep_alive)
-                    return 200, request.keep_alive
-                if method == "DELETE":
-                    return (
-                        await self._delete_job(request, writer, tail),
-                        request.keep_alive,
-                    )
-                raise HttpError(405, f"{method} not allowed on {path}")
-        raise HttpError(404, f"no route for {method} {path}")
+            body = {
+                "version": self.membership.version,
+                "nodes": [info.summary() for info in self.membership.all()],
+                "jobs": len(self.jobs),
+            }
+            return self._reply(request, writer, 200, body)
+        return await super()._route_extra(request, writer)
 
-    def _authorize(self, request: HttpRequest) -> None:
-        token = self.config.auth_token
-        if not token:
-            return
-        import hmac
-
-        supplied = request.headers.get("authorization", "")
-        scheme, _, value = supplied.partition(" ")
-        if scheme.lower() == "bearer" and hmac.compare_digest(
-            value.strip().encode("utf-8"), token.encode("utf-8")
-        ):
-            return
-        self.metrics.counter("http_auth_failures_total").inc()
-        raise HttpError(
-            401,
-            "missing or invalid bearer token",
-            headers={"WWW-Authenticate": "Bearer"},
-        )
-
-    # -- handlers ---------------------------------------------------------
-
-    async def _post_node(self, request: HttpRequest, writer) -> int:
+    async def _post_node(self, request: HttpRequest) -> dict:
         payload = request.json()
         node_id = payload.get("node_id")
         host = payload.get("host")
@@ -650,15 +524,9 @@ class ClusterCoordinator:
             raise HttpError(400, "registration needs node_id, host and int port")
         self.membership.register(str(node_id), str(host), port)
         await self.push_membership()
-        send_json(
-            writer,
-            200,
-            {"registered": node_id, "version": self.membership.version},
-            keep_alive=request.keep_alive,
-        )
-        return 200
+        return {"registered": node_id, "version": self.membership.version}
 
-    def _post_heartbeat(self, request: HttpRequest, writer, node_id: str) -> int:
+    def _post_heartbeat(self, request: HttpRequest, node_id: str) -> None:
         stats = None
         if request.body:
             stats = request.json().get("stats")
@@ -666,100 +534,8 @@ class ClusterCoordinator:
             raise HttpError(
                 404, f"node {node_id!r} is not a live member (re-register)"
             )
-        send_json(writer, 200, {"ok": True}, keep_alive=request.keep_alive)
-        return 200
 
-    async def _delete_node(self, request: HttpRequest, writer, node_id: str) -> int:
-        self.membership.remove(node_id)
-        await self.push_membership()
-        send_json(writer, 200, {"removed": node_id}, keep_alive=request.keep_alive)
-        return 200
-
-    async def _post_job(self, request: HttpRequest, writer) -> int:
-        job = await self.submit(request.json())
-        send_json(
-            writer,
-            202,
-            {
-                "job_id": job.job_id,
-                "name": job.payload.get("name") or job.job_id,
-                "node": job.node_id,
-                "events": f"/v1/jobs/{job.job_id}/events",
-            },
-            keep_alive=request.keep_alive,
-        )
-        return 202
-
-    async def _delete_job(self, request: HttpRequest, writer, job_id: str) -> int:
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise HttpError(404, f"unknown job {job_id!r}")
-        accepted = False
-        node = self.membership.get(job.node_id)
-        if node is not None and node.state == "up" and not job.terminal:
-            try:
-                status, body = await request_json(
-                    node.host,
-                    node.port,
-                    "DELETE",
-                    f"/v1/jobs/{job.node_job_id}",
-                    token=self.config.auth_token,
-                    timeout=self.config.rpc_timeout,
-                )
-                accepted = status == 202 and bool(body.get("cancel_accepted"))
-            except RpcError:
-                accepted = False
-        send_json(
-            writer,
-            202,
-            {"job_id": job_id, "cancel_accepted": accepted},
-            keep_alive=request.keep_alive,
-        )
-        return 202
-
-    async def _get_events(self, request: HttpRequest, writer, job_id: str) -> int:
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise HttpError(404, f"unknown job {job_id!r}")
-        from_seq = request.int_query("from_seq", 0)
-        if from_seq < 0:
-            raise HttpError(400, "from_seq must be >= 0")
-        writer.write(
-            response_head(
-                200,
-                {
-                    "Content-Type": "application/x-ndjson; charset=utf-8",
-                    "Transfer-Encoding": "chunked",
-                    "Cache-Control": "no-store",
-                    "Connection": "keep-alive" if request.keep_alive else "close",
-                },
-            )
-        )
-        async for event in job.log.subscribe(from_seq):
-            write_chunk(writer, (event.to_json() + "\n").encode("utf-8"))
-            self.metrics.counter("http_events_streamed_total").inc()
-            await writer.drain()
-        end_chunks(writer)
-        await writer.drain()
-        return 200
-
-    def _get_metrics(self, request: HttpRequest, writer) -> int:
-        self._export_aggregates()
-        body = self.metrics.render_prometheus().encode("utf-8")
-        writer.write(
-            response_head(
-                200,
-                {
-                    "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
-                    "Content-Length": str(len(body)),
-                    "Connection": "keep-alive" if request.keep_alive else "close",
-                },
-            )
-            + body
-        )
-        return 200
-
-    def _export_aggregates(self) -> None:
+    def _refresh_metrics(self) -> None:
         """Fold node heartbeat stats + job table into cluster gauges."""
         remote_hits = remote_misses = pending = 0
         for info in self.membership.live():

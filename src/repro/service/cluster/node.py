@@ -39,7 +39,7 @@ from repro.service.cluster.leases import CacheLeaseTable
 from repro.service.cluster.membership import PeerDirectory
 from repro.service.cluster.rpc import RpcError, request_json
 from repro.service.diskcache import decode_payload, encode_payload
-from repro.service.http.protocol import HttpError, HttpRequest, response_head, send_json
+from repro.service.http.protocol import HttpError, HttpRequest, response_head
 from repro.service.http.server import HttpFront, HttpFrontConfig
 
 __all__ = ["PacedRunner", "NodeFront", "ClusterNodeApp"]
@@ -105,22 +105,7 @@ class NodeFront(HttpFront):
         self.cluster_cache = cluster_cache
         self.leases = leases if leases is not None else CacheLeaseTable()
 
-    async def _route(self, request: HttpRequest, reader, writer) -> tuple[int, bool]:
-        if request.path.startswith("/internal/v1/"):
-            if self._draining:
-                raise HttpError(
-                    503,
-                    "node is draining",
-                    headers={
-                        "Retry-After": f"{self.config.retry_after:g}",
-                        "Connection": "close",
-                    },
-                )
-            self._authorize(request)
-            return self._route_internal(request, writer), request.keep_alive
-        return await super()._route(request, reader, writer)
-
-    def _route_internal(self, request: HttpRequest, writer) -> int:
+    async def _route_extra(self, request: HttpRequest, writer) -> int:
         path, method = request.path, request.method
         if path == "/internal/v1/membership" and method == "POST":
             return self._post_membership(request, writer)
@@ -137,8 +122,8 @@ class NodeFront(HttpFront):
                 return self._delete_lease(request, writer)
             raise HttpError(405, f"{method} not allowed on {path}")
         if path == "/internal/v1/status" and method == "GET":
-            return self._get_status(request, writer)
-        raise HttpError(404, f"no route for {method} {path}")
+            return self._reply(request, writer, 200, self.node_stats())
+        return await super()._route_extra(request, writer)
 
     # -- membership -------------------------------------------------------
 
@@ -161,13 +146,12 @@ class NodeFront(HttpFront):
             parsed, version=int(version) if version is not None else None
         )
         self.metrics.counter("cluster_membership_pushes_total").inc()
-        send_json(
+        return self._reply(
+            request,
             writer,
             200,
             {"accepted": accepted, "version": self.directory.version},
-            keep_alive=request.keep_alive,
         )
-        return 200
 
     # -- cache transfer ---------------------------------------------------
 
@@ -218,8 +202,7 @@ class NodeFront(HttpFront):
             raise HttpError(400, "payload does not decode under its layout") from None
         self._local_store().put(key, value)
         self.metrics.counter("cluster_cache_accepted_total").inc()
-        send_json(writer, 200, {"stored": key}, keep_alive=request.keep_alive)
-        return 200
+        return self._reply(request, writer, 200, {"stored": key})
 
     # -- leases -----------------------------------------------------------
 
@@ -232,8 +215,7 @@ class NodeFront(HttpFront):
         decision = self.leases.acquire(
             key, requester, ready=self._local_store().contains(key)
         )
-        send_json(writer, 200, decision, keep_alive=request.keep_alive)
-        return 200
+        return self._reply(request, writer, 200, decision)
 
     def _delete_lease(self, request: HttpRequest, writer) -> int:
         key = self._cache_key(request)
@@ -241,19 +223,9 @@ class NodeFront(HttpFront):
         if not requester:
             raise HttpError(400, "missing 'requester' query parameter")
         released = self.leases.release(key, requester)
-        send_json(writer, 200, {"released": released}, keep_alive=request.keep_alive)
-        return 200
+        return self._reply(request, writer, 200, {"released": released})
 
     # -- status -----------------------------------------------------------
-
-    def _get_status(self, request: HttpRequest, writer) -> int:
-        send_json(
-            writer,
-            200,
-            self.node_stats(),
-            keep_alive=request.keep_alive,
-        )
-        return 200
 
     def node_stats(self) -> dict[str, Any]:
         """The stats payload heartbeats carry to the coordinator."""

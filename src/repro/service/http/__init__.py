@@ -8,8 +8,10 @@ The subsystem that makes the streaming gateway reachable over a socket:
   digest, text/ping/pong/close frames);
 * :mod:`repro.service.http.broker` — replayable per-job event logs with
   ``from_seq`` resume over any number of subscribers;
-* :mod:`repro.service.http.server` — :class:`HttpFront`, the asyncio
-  server itself (routes, auth, limits, metrics, graceful drain).
+* :mod:`repro.service.http.server` — :class:`HttpServerCore`, the
+  asyncio server every network role runs (routes, auth, limits,
+  metrics, event streams, graceful drain), and :class:`HttpFront`, its
+  single-box role over one gateway.
 
 ``photomosaic serve-http`` is the CLI entry point;
 :mod:`repro.service.client` is the matching stdlib client library.  See
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from repro.service.http.broker import EventLog, JobEventBroker
 from repro.service.http.protocol import HttpError, HttpRequest
-from repro.service.http.server import HttpFront, HttpFrontConfig
+from repro.service.http.server import HttpFront, HttpFrontConfig, HttpServerCore
 
 __all__ = [
     "EventLog",
@@ -29,4 +31,5 @@ __all__ = [
     "HttpRequest",
     "HttpFront",
     "HttpFrontConfig",
+    "HttpServerCore",
 ]

@@ -157,10 +157,7 @@ class ClusterNode:
             return
         if self.app is not None:
             await self.app.stop()
-        await self.gateway.aclose(drain=True)
-        await self.front.broker.drain()
-        await self.front.aclose()
-        self.pool.shutdown()
+        await self.front.drain()
 
 
 class MiniCluster:

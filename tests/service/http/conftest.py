@@ -91,10 +91,7 @@ class ServedFront:
         return self
 
     async def __aexit__(self, *exc_info: object) -> None:
-        await self.gateway.aclose(drain=True)
-        await self.front.broker.drain()
-        await self.front.aclose()
-        self.pool.shutdown()
+        await self.front.drain()
 
     @property
     def port(self) -> int:

@@ -1,8 +1,8 @@
-"""Graceful-drain tests for the two serving CLIs, over real processes.
+"""Graceful-drain tests for the serving CLIs, over real processes.
 
-Both ``photomosaic serve`` (NDJSON over stdin/stdout) and
-``photomosaic serve-http`` must treat the first SIGINT/SIGTERM as a
-drain request: stop taking new work, let admitted jobs run to their
+``photomosaic serve`` (NDJSON over stdin/stdout), ``serve-http``,
+``serve-node`` and ``serve-cluster`` must treat the first SIGINT/SIGTERM
+as a drain request: stop taking new work, let admitted jobs run to their
 terminal event, then exit 0 — not die mid-job.
 """
 
@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.request
 
 import pytest
 
@@ -175,3 +176,73 @@ class TestServeHttpDrain:
             if process.poll() is None:
                 process.kill()
                 process.communicate()
+
+
+def fetch(port: int, path: str) -> bytes:
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}", timeout=10) as resp:
+        return resp.read()
+
+
+def get_json(port: int, path: str) -> dict:
+    return json.loads(fetch(port, path))
+
+
+class TestClusterDrain:
+    """``serve-cluster`` plus one ``serve-node``, both stopped by SIGTERM."""
+
+    @pytest.fixture
+    def cluster(self, tmp_path):
+        processes = []
+
+        def start(*argv: str) -> tuple[subprocess.Popen, dict]:
+            process = spawn(*argv)
+            processes.append(process)
+            listening = json.loads(process.stdout.readline())
+            assert listening["kind"] == "listening"
+            return process, listening
+
+        coordinator, info = start("serve-cluster", "--port", "0")
+        port = info["port"]
+        node, _ = start(
+            "serve-node",
+            "--coordinator", f"127.0.0.1:{port}",
+            "--node-id", "drainee",
+            "--workers", "1",
+            "--heartbeat-interval", "0.2",
+            "--outdir", str(tmp_path / "out"),
+        )
+        deadline = time.monotonic() + 30.0
+        while get_json(port, "/healthz")["nodes_up"] != 1:
+            assert time.monotonic() < deadline, "node never registered"
+            time.sleep(0.05)
+        try:
+            yield coordinator, port, node
+        finally:
+            for process in processes:
+                if process.poll() is None:
+                    process.kill()
+                    process.communicate()
+
+    def test_sigterm_node_deregisters_and_drains(self, cluster):
+        coordinator, port, node = cluster
+        node.send_signal(signal.SIGTERM)
+        out, err = finish(node)
+        assert node.returncode == 0, err
+        records = [json.loads(line) for line in out.splitlines() if line]
+        assert records[-1] == {"kind": "drained", "node_id": "drainee"}
+
+        # Deregistered, not declared dead: the node is gone from the
+        # membership instead of lingering in state "down".
+        view = get_json(port, "/internal/v1/cluster")
+        assert view["nodes"] == []
+        assert get_json(port, "/healthz")["nodes_up"] == 0
+        metrics = fetch(port, "/metrics").decode("utf-8")
+        assert "cluster_node_failures_total" not in metrics
+
+    def test_sigterm_coordinator_drains(self, cluster):
+        coordinator, _, _ = cluster
+        coordinator.send_signal(signal.SIGTERM)
+        out, err = finish(coordinator)
+        assert coordinator.returncode == 0, err
+        records = [json.loads(line) for line in out.splitlines() if line]
+        assert records[-1] == {"kind": "drained", "role": "coordinator"}

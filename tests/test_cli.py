@@ -28,6 +28,148 @@ class TestParser:
             build_parser().parse_args(["bench", "--table", "9"])
 
 
+#: Option string -> default for the pool and serving subcommands, as
+#: shipped.  Scripts, CI and the benchmark driver spell these flags out,
+#: so any refactor of the parser must keep this table exact.
+SERVE_FLAG_SETS = {
+    "batch": {
+        "--manifest": None,
+        "--outdir": "batch_out",
+        "--workers": 4,
+        "--executor": "thread",
+        "--retries": 1,
+        "--timeout": None,
+        "--metrics": None,
+        "--cache-mb": 256,
+        "--cache-dir": None,
+        "--cache-budget": 2048,
+        "--seed": 0,
+        "--backend": None,
+    },
+    "serve": {
+        "--manifest": None,
+        "--outdir": "serve_out",
+        "--workers": 2,
+        "--executor": "thread",
+        "--max-pending": 16,
+        "--retries": 1,
+        "--timeout": None,
+        "--metrics": None,
+        "--event-log": None,
+        "--cache-mb": 256,
+        "--cache-dir": None,
+        "--cache-budget": 2048,
+        "--seed": 0,
+        "--backend": None,
+    },
+    "serve-http": {
+        "--host": "127.0.0.1",
+        "--port": 8765,
+        "--auth-token": None,
+        "--outdir": "serve_out",
+        "--workers": 2,
+        "--executor": "thread",
+        "--max-pending": 16,
+        "--max-streams": 64,
+        "--max-body-kb": 1024,
+        "--retry-after": 1.0,
+        "--retries": 1,
+        "--timeout": None,
+        "--metrics": None,
+        "--event-log": None,
+        "--cache-mb": 256,
+        "--cache-dir": None,
+        "--cache-budget": 2048,
+        "--seed": 0,
+        "--backend": None,
+    },
+    "serve-node": {
+        "--coordinator": None,
+        "--node-id": None,
+        "--advertise-host": None,
+        "--host": "127.0.0.1",
+        "--port": 0,
+        "--auth-token": None,
+        "--heartbeat-interval": 0.5,
+        "--lease-ttl": 60.0,
+        "--job-floor-seconds": 0.0,
+        "--outdir": "serve_out",
+        "--workers": 2,
+        "--executor": "thread",
+        "--max-pending": 16,
+        "--max-streams": 64,
+        "--max-body-kb": 262144,
+        "--retry-after": 1.0,
+        "--retries": 1,
+        "--timeout": None,
+        "--cache-mb": 256,
+        "--cache-dir": None,
+        "--cache-budget": 2048,
+        "--seed": 0,
+        "--backend": None,
+    },
+    "serve-cluster": {
+        "--host": "127.0.0.1",
+        "--port": 8700,
+        "--auth-token": None,
+        "--heartbeat-deadline": 3.0,
+        "--max-pending": 256,
+        "--retry-after": 1.0,
+        "--metrics": None,
+    },
+}
+
+#: Flags without which each subcommand refuses to parse.
+SERVE_REQUIRED = {
+    "batch": {"--manifest"},
+    "serve": set(),
+    "serve-http": set(),
+    "serve-node": {"--coordinator"},
+    "serve-cluster": set(),
+}
+
+
+def _subparser(name: str):
+    import argparse
+
+    parser = build_parser()
+    sub = next(
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return sub.choices[name]
+
+
+class TestServeFlagSets:
+    """Pin each serving command's flags and defaults to the shipped set."""
+
+    @pytest.mark.parametrize("command", sorted(SERVE_FLAG_SETS))
+    def test_option_strings_and_defaults(self, command):
+        parser = _subparser(command)
+        found = {
+            action.option_strings[0]: action.default
+            for action in parser._actions
+            if action.option_strings and action.dest != "help"
+        }
+        for action in parser._actions:
+            if action.dest != "help":
+                assert len(action.option_strings) == 1, action.option_strings
+        assert found == SERVE_FLAG_SETS[command]
+        for option, default in found.items():
+            assert type(default) is type(SERVE_FLAG_SETS[command][option]), option
+
+    @pytest.mark.parametrize("command", sorted(SERVE_REQUIRED))
+    def test_required_flags(self, command):
+        parser = _subparser(command)
+        required = {
+            action.option_strings[0]
+            for action in parser._actions
+            if action.option_strings and action.required
+        }
+        assert required == SERVE_REQUIRED[command]
+
+
 class TestGenerate:
     def test_standard_names(self, tmp_path, capsys):
         out = tmp_path / "m.png"
