@@ -143,16 +143,23 @@ async def read_request(
     max_header_bytes: int = 32 * 1024,
     max_body_bytes: int = 1 << 20,
     peer: str = "",
+    first: bytes = b"",
 ):
     """Parse one request from ``reader``; ``None`` on clean EOF.
+
+    ``first`` holds the start of the request line when the caller has
+    already read it (the server waits for a request's first byte apart
+    from the rest, to tell an idle connection from a busy one).
 
     Raises :class:`HttpError` for protocol violations (the caller turns
     it into an error response) and lets connection errors propagate.
     """
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, ValueError):
-        return None
+    request_line = first
+    if not first.endswith(b"\n"):
+        try:
+            request_line += await reader.readline()
+        except (ConnectionError, ValueError):
+            return None
     if not request_line:
         return None  # peer closed between requests
     if len(request_line) > _MAX_REQUEST_LINE:
