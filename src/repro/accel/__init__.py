@@ -1,6 +1,6 @@
 """Hot-path acceleration layer.
 
-Three independent pieces, combinable per deployment:
+Two independent pieces, combinable per deployment:
 
 * :mod:`repro.accel.backend` — the ``xp`` array-module dispatch registry
   (NumPy always; CuPy auto-detected when installed), so Step 2 and the
@@ -10,10 +10,6 @@ Three independent pieces, combinable per deployment:
   a per-position dirty mask restricts late sweeps to pairs that can
   still improve, dropping them from ``O(S^2)`` to ``O(S * dirty)``
   while provably reaching the *same* fixed point (see the module doc).
-* :mod:`repro.accel.shm` — a zero-copy data plane over
-  :mod:`multiprocessing.shared_memory`: large arrays are published once
-  and process workers rehydrate tiny picklable handles instead of
-  re-pickling multi-hundred-MB payloads per fan-out.
 """
 
 from repro.accel.backend import (
@@ -24,13 +20,6 @@ from repro.accel.backend import (
     register_backend,
 )
 from repro.accel.dirty import ClassPruner, SweepPruner
-from repro.accel.shm import (
-    SharedArrayHandle,
-    SharedArrayPlane,
-    attach_shared_array,
-    reap_stale_segments,
-    shared_memory_available,
-)
 
 __all__ = [
     "ArrayBackend",
@@ -40,9 +29,4 @@ __all__ = [
     "register_backend",
     "ClassPruner",
     "SweepPruner",
-    "SharedArrayHandle",
-    "SharedArrayPlane",
-    "attach_shared_array",
-    "reap_stale_segments",
-    "shared_memory_available",
 ]

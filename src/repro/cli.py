@@ -92,7 +92,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         solver=args.solver,
         histogram_match=not args.no_histogram_match,
         array_backend=args.backend,
-        prune_sweeps=not args.no_prune,
         shortlist_top_k=args.shortlist_top_k,
         sketch=args.sketch,
         shortlist_seed=args.shortlist_seed,
@@ -946,12 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="array backend for the Step-2/Step-3 hot paths: numpy, cupy "
         "(GPU, when installed), or auto (best available) — see "
         "docs/performance.md",
-    )
-    gen.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable active-pair sweep pruning (results are bit-identical "
-        "either way; only useful for measuring the unpruned baseline)",
     )
     gen.add_argument(
         "--shortlist-top-k",

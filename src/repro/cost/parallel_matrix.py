@@ -3,10 +3,11 @@
 The paper accelerates Step 2 on a GPU; on a multicore host the same
 row-block decomposition parallelises across processes: each worker
 computes a contiguous slab of error-matrix rows from the shared feature
-arrays.  Workers receive the feature matrices once (fork/pickle) and
-return ``(start, block)`` pairs that the parent scatters into the result —
-the same owner-computes pattern as an ``mpi4py`` row-partitioned
-matrix-matrix kernel.
+arrays.  Workers receive the feature matrices once, through the pool
+initialiser (inherited under ``fork``, the Linux default; pickled once
+per worker under ``spawn``), and return ``(start, block)`` pairs that the
+parent scatters into the result — the same owner-computes pattern as an
+``mpi4py`` row-partitioned matrix-matrix kernel.
 
 For small S the process spin-up dominates (exactly like the paper's GPU
 losing at S=16^2), so :func:`error_matrix_parallel` falls back to the
@@ -20,12 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from repro.accel.shm import (
-    SharedArrayHandle,
-    SharedArrayPlane,
-    attach_shared_array,
-    shared_memory_available,
-)
 from repro.cost.base import CostMetric, get_metric
 from repro.exceptions import ValidationError
 from repro.types import ERROR_DTYPE, ErrorMatrix, TileStack
@@ -41,17 +36,10 @@ _MIN_PARALLEL_WORK = 64 * 1024 * 1024
 _WORKER_STATE: dict[str, object] = {}
 
 
-def _materialize(features) -> np.ndarray:
-    """Worker-side rehydration: a shared-memory handle becomes a view."""
-    if isinstance(features, SharedArrayHandle):
-        return attach_shared_array(features)
-    return features
-
-
 def _init_worker(metric_name: str, features_in, features_tg) -> None:
     _WORKER_STATE["metric"] = get_metric(metric_name)
-    _WORKER_STATE["features_in"] = _materialize(features_in)
-    _WORKER_STATE["features_tg"] = _materialize(features_tg)
+    _WORKER_STATE["features_in"] = features_in
+    _WORKER_STATE["features_tg"] = features_tg
 
 
 def _compute_slab(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
@@ -69,7 +57,6 @@ def error_matrix_parallel(
     *,
     workers: int | None = None,
     force: bool = False,
-    share_memory: bool | None = None,
 ) -> ErrorMatrix:
     """Compute the error matrix with a process pool over row slabs.
 
@@ -77,14 +64,6 @@ def error_matrix_parallel(
     defaults to the CPU count; ``force`` skips the small-problem fallback
     (useful for tests).  Only registry-named metrics are supported — the
     name, not the instance, crosses the process boundary.
-
-    ``share_memory`` selects the zero-copy data plane: the feature
-    matrices are published once into :mod:`multiprocessing.shared_memory`
-    and workers rehydrate ~100-byte handles instead of receiving pickled
-    copies (which spawn-based start methods ship per worker).  Defaults
-    to on wherever shared memory exists; the segments are unlinked in a
-    ``finally`` (and by the :mod:`repro.accel.shm` atexit guard if the
-    parent dies first).
     """
     input_tiles = np.asarray(input_tiles)
     target_tiles = np.asarray(target_tiles)
@@ -113,29 +92,11 @@ def error_matrix_parallel(
     for start in range(0, s, slab):
         bounds.append((start, min(start + slab, s)))
     out = np.empty((s, s), dtype=ERROR_DTYPE)
-    if share_memory is None:
-        share_memory = shared_memory_available()
-    plane: SharedArrayPlane | None = None
-    ship_in, ship_tg = features_in, features_tg
-    if share_memory and shared_memory_available():
-        try:
-            plane = SharedArrayPlane()
-            ship_in = plane.publish("features-in", features_in)
-            ship_tg = plane.publish("features-tg", features_tg)
-        except OSError:  # /dev/shm full or forbidden: fall back to pickling
-            if plane is not None:
-                plane.close()
-            plane = None
-            ship_in, ship_tg = features_in, features_tg
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(metric, ship_in, ship_tg),
-        ) as pool:
-            for start, block in pool.map(_compute_slab, bounds):
-                out[start : start + block.shape[0]] = block
-    finally:
-        if plane is not None:
-            plane.close()
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(metric, features_in, features_tg),
+    ) as pool:
+        for start, block in pool.map(_compute_slab, bounds):
+            out[start : start + block.shape[0]] = block
     return out

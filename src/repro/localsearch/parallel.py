@@ -13,11 +13,6 @@ Execution backends:
   gather/compare/scatter.  This is the SIMT lane-execution model: every
   "thread" (pair) runs the same instruction sequence in lock step.  It is
   the measured "GPU" column of the Table III reproduction.
-* ``"threads"`` — the class is split across a thread pool, demonstrating
-  that the colour-class schedule really does make concurrent commits safe
-  (threads write disjoint permutation slots).  NumPy fancy indexing holds
-  the GIL, so this backend is about correctness-under-real-concurrency,
-  not speed.
 * ``"gpusim"`` — executes each class as a kernel launch on the virtual
   GPU (:mod:`repro.gpusim`), exercising the grid/block/shared-memory code
   path used for the performance model.
@@ -28,7 +23,6 @@ integer total error, so the outer repeat-until-no-swap loop terminates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -90,36 +84,12 @@ def _commit_class(
     return int(improving.sum())
 
 
-def _commit_class_threads(
-    matrix: np.ndarray,
-    perm: np.ndarray,
-    us: np.ndarray,
-    vs: np.ndarray,
-    pool: ThreadPoolExecutor,
-    workers: int,
-    allowed: np.ndarray | None = None,
-) -> int:
-    """Thread-pool variant: chunks of one class commit concurrently."""
-    if us.size == 0:
-        return 0
-    chunks = np.array_split(np.arange(us.size), workers)
-    futures = [
-        pool.submit(
-            _commit_class, matrix, perm, us[c], vs[c], None, 0, allowed
-        )
-        for c in chunks
-        if c.size
-    ]
-    return sum(f.result() for f in futures)
-
-
 def local_search_parallel(
     matrix: ErrorMatrix,
     initial: PermutationArray | None = None,
     *,
     groups: EdgeGroups | None = None,
     backend: str = "vectorized",
-    workers: int = 4,
     max_sweeps: int = 10_000,
     prune: bool = True,
     candidates: np.ndarray | None = None,
@@ -138,9 +108,7 @@ def local_search_parallel(
         Precomputed edge groups; built (and cached) from ``S`` when omitted
         — the paper precomputes them once per tile count (Section IV-B).
     backend:
-        ``"vectorized"``, ``"threads"`` or ``"gpusim"`` (see module doc).
-    workers:
-        Thread count for the ``"threads"`` backend.
+        ``"vectorized"`` or ``"gpusim"`` (see module doc).
     max_sweeps:
         Safety bound; exceeding it raises :class:`ConvergenceError`.
     prune:
@@ -151,16 +119,16 @@ def local_search_parallel(
         class commits every improving pair and an untouched pair cannot
         newly improve (see :mod:`repro.accel.dirty`) — while late
         sweeps drop from ``O(S^2)`` to ``O(S * dirty)``.  The
-        ``"threads"`` and ``"gpusim"`` backends model full-width
-        execution and ignore it.
+        ``"gpusim"`` backend models full-width execution and ignores
+        it.
     candidates:
         Optional boolean ``(S, S)`` mask over ``(tile, position)``
         placements (a :meth:`~repro.cost.sparse.SparseErrorMatrix.mask`):
         a class pair commits only when both post-swap placements are
         candidates.  All-``True`` reproduces the unrestricted search
-        exactly.  Supported by the ``"vectorized"`` and ``"threads"``
-        backends; ``"gpusim"`` models the paper's full-width kernels and
-        rejects it.
+        exactly.  Supported by the ``"vectorized"`` backend;
+        ``"gpusim"`` models the paper's full-width kernels and rejects
+        it.
     array_backend:
         Array library for the swap kernels (``None``/``"numpy"``,
         ``"cupy"``, ``"auto"`` — :mod:`repro.accel.backend`).  A
@@ -185,9 +153,9 @@ def local_search_parallel(
         raise ValidationError(
             f"edge groups are for S={groups.size}, matrix has S={s}"
         )
-    if backend not in ("vectorized", "threads", "gpusim"):
+    if backend not in ("vectorized", "gpusim"):
         raise ValidationError(
-            f"unknown backend {backend!r} (use vectorized|threads|gpusim)"
+            f"unknown backend {backend!r} (use vectorized|gpusim)"
         )
     if max_sweeps < 1:
         raise ValidationError(f"max_sweeps must be >= 1, got {max_sweeps}")
@@ -206,7 +174,7 @@ def local_search_parallel(
         if backend == "gpusim":
             raise ValidationError(
                 "candidate restriction is not supported by the gpusim "
-                "backend (use vectorized or threads)"
+                "backend (use vectorized)"
             )
 
     # Device residency: with a non-NumPy array backend the matrix, the
@@ -234,14 +202,6 @@ def local_search_parallel(
         def commit(class_id: int, us: np.ndarray, vs: np.ndarray) -> int:
             return run_swap_class_on_device(work_matrix, work_perm, us, vs)
 
-    elif backend == "threads":
-        pool = ThreadPoolExecutor(max_workers=workers)
-
-        def commit(class_id: int, us: np.ndarray, vs: np.ndarray) -> int:
-            return _commit_class_threads(
-                work_matrix, work_perm, us, vs, pool, workers, work_allowed
-            )
-
     else:
 
         def commit(class_id: int, us: np.ndarray, vs: np.ndarray) -> int:
@@ -255,27 +215,23 @@ def local_search_parallel(
     swap_counts: list[int] = []
     totals: list[int] = []
     kernel_launches = 0
-    try:
-        while True:
-            swaps = 0
-            for class_id, (us, vs) in enumerate(classes):
-                swaps += commit(class_id, us, vs)
-                kernel_launches += 1
-            if pruner is not None:
-                pruner.end_sweep()
-            swap_counts.append(swaps)
-            totals.append(int(work_matrix[work_perm, positions].sum()))
-            if on_sweep is not None:
-                on_sweep(len(swap_counts) - 1, swaps, totals[-1])
-            if swaps == 0:
-                break
-            if len(swap_counts) >= max_sweeps:
-                raise ConvergenceError(
-                    f"parallel local search exceeded {max_sweeps} sweeps"
-                )
-    finally:
-        if backend == "threads":
-            pool.shutdown(wait=True)
+    while True:
+        swaps = 0
+        for class_id, (us, vs) in enumerate(classes):
+            swaps += commit(class_id, us, vs)
+            kernel_launches += 1
+        if pruner is not None:
+            pruner.end_sweep()
+        swap_counts.append(swaps)
+        totals.append(int(work_matrix[work_perm, positions].sum()))
+        if on_sweep is not None:
+            on_sweep(len(swap_counts) - 1, swaps, totals[-1])
+        if swaps == 0:
+            break
+        if len(swap_counts) >= max_sweeps:
+            raise ConvergenceError(
+                f"parallel local search exceeded {max_sweeps} sweeps"
+            )
     if not xb.is_numpy:
         perm = np.asarray(xb.to_numpy(work_perm), dtype=np.intp)
     else:

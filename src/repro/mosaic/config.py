@@ -45,7 +45,7 @@ class MosaicConfig:
         (``"first"`` = Algorithm 1 verbatim, ``"best_row"`` = vectorised).
     parallel_backend:
         Backend for ``algorithm="parallel"``
-        (``"vectorized"`` | ``"threads"`` | ``"gpusim"``).
+        (``"vectorized"`` | ``"gpusim"``).
     allow_transforms:
         Permit the 8 dihedral orientations (rotations/flips) per tile; the
         pairing error becomes the minimum over orientations (an extension
@@ -57,11 +57,6 @@ class MosaicConfig:
         (default), ``"cupy"`` (GPU, when installed), or ``"auto"`` (best
         available) — see :mod:`repro.accel.backend`.  Orthogonal to
         :attr:`parallel_backend`, which picks the *execution model*.
-    prune_sweeps:
-        Active-pair pruning for the 2-opt sweeps
-        (:mod:`repro.accel.dirty`): after the first sweep only pairs
-        with a dirty endpoint are evaluated.  Results are bit-identical;
-        disable only to measure the unpruned baseline.
     shortlist_top_k:
         Sparse Step 2: keep only this many sketch-shortlisted candidate
         positions per input tile and exact-score just those pairs
@@ -92,7 +87,6 @@ class MosaicConfig:
     pyramid_factor: int = 2
     max_sweeps: int = 10_000
     array_backend: str = "numpy"
-    prune_sweeps: bool = True
     shortlist_top_k: int = 0
     sketch: str = "mean"
     shortlist_seed: int | None = None
@@ -142,7 +136,7 @@ class MosaicConfig:
                 raise ValidationError(
                     "shortlist_top_k is not supported by the gpusim "
                     "parallel backend (full-width kernels); use "
-                    "vectorized or threads"
+                    "vectorized"
                 )
         from repro.accel.backend import backend_names
 

@@ -174,7 +174,6 @@ class PhotomosaicGenerator:
                 initial,
                 strategy=cfg.serial_strategy,
                 max_sweeps=cfg.max_sweeps,
-                prune=cfg.prune_sweeps,
                 candidates=candidates,
                 on_sweep=on_sweep,
             )
@@ -184,7 +183,6 @@ class PhotomosaicGenerator:
                 initial,
                 backend=cfg.parallel_backend,
                 max_sweeps=cfg.max_sweeps,
-                prune=cfg.prune_sweeps,
                 candidates=candidates,
                 array_backend=cfg.array_backend,
                 on_sweep=on_sweep,

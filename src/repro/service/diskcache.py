@@ -199,6 +199,13 @@ class DiskCacheStats:
 class DiskCacheStore:
     """Content-addressed disk cache shared by thread and process workers.
 
+    Array payloads are memory-mapped on read: the checksum is verified
+    over the mapping and the returned arrays are read-only zero-copy
+    views backed by the page cache, so warm hits on a multi-hundred-MB
+    error matrix copy nothing (``stats.copied_bytes`` stays flat).
+    Pickle-layout payloads, and array payloads that cannot be mapped,
+    take the copying read.
+
     Parameters
     ----------
     root:
@@ -212,13 +219,6 @@ class DiskCacheStore:
         Budget for acquiring the index and per-key locks.  On expiry the
         store degrades gracefully: index updates are skipped and
         ``get_or_compute`` computes without single-flight protection.
-    mmap_mode:
-        ``"r"`` (default) memory-maps array payloads on read instead of
-        heap-copying them: the checksum is verified over the mapping and
-        the returned arrays are read-only zero-copy views backed by the
-        page cache, so warm hits on a multi-hundred-MB error matrix stop
-        copying (``stats.copied_bytes`` stays flat).  ``None`` restores
-        the copying read.  Pickle-layout payloads always copy.
     metrics:
         Optional :class:`~repro.service.metrics.MetricsRegistry`; the
         store ticks ``cache_disk_{hits,misses,writes,evictions}_total``
@@ -235,17 +235,13 @@ class DiskCacheStore:
         max_bytes: int = 1 << 30,
         *,
         lock_timeout: float = 30.0,
-        mmap_mode: str | None = "r",
         metrics=None,
     ) -> None:
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        if mmap_mode not in (None, "r"):
-            raise ValueError(f"mmap_mode must be None or 'r', got {mmap_mode!r}")
         self.root = os.fspath(root)
         self.max_bytes = int(max_bytes)
         self.lock_timeout = lock_timeout
-        self.mmap_mode = mmap_mode
         self.metrics = metrics
         self._stats = DiskCacheStats()
         self._stats_lock = threading.Lock()
@@ -258,7 +254,6 @@ class DiskCacheStore:
             "root": self.root,
             "max_bytes": self.max_bytes,
             "lock_timeout": self.lock_timeout,
-            "mmap_mode": self.mmap_mode,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -266,7 +261,6 @@ class DiskCacheStore:
             state["root"],
             state["max_bytes"],
             lock_timeout=state["lock_timeout"],
-            mmap_mode=state.get("mmap_mode", "r"),
         )
 
     # -- paths -----------------------------------------------------------
@@ -481,10 +475,10 @@ class DiskCacheStore:
                 self._tick("misses", "cache_disk_misses_total")
             return _MISS
         layout = sidecar["layout"]
-        if (
-            self.mmap_mode == "r"
-            and isinstance(layout, dict)
-            and layout.get("kind") in ("array", "tuple", "list")
+        if isinstance(layout, dict) and layout.get("kind") in (
+            "array",
+            "tuple",
+            "list",
         ):
             try:
                 value = self._read_mmap(payload_path, sidecar)

@@ -256,13 +256,6 @@ class WorkerPool:
         self._all_done = threading.Condition(self._state_lock)
         self._shut_down = False
         self.metrics.gauge("workers", "configured pool size").set(workers)
-        # A worker killed hard (SIGKILL, OOM) never runs its cleanup, so
-        # shared-memory segments it published would strand /dev/shm pages.
-        # Reap anything left by dead owners at pool start and again at
-        # shutdown; each reaped segment ticks ``shm_leaked_total``.
-        from repro.accel.shm import reap_stale_segments
-
-        reap_stale_segments(self.metrics)
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -360,9 +353,6 @@ class WorkerPool:
                 self._all_done.notify_all()
         for thread in self._threads:
             thread.join(timeout=timeout)
-        from repro.accel.shm import reap_stale_segments
-
-        reap_stale_segments(self.metrics)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -45,7 +45,6 @@ ALL_RUNNERS = [
     ("serial", {"strategy": "first"}),
     ("serial", {"strategy": "best_row"}),
     ("parallel", {"backend": "vectorized"}),
-    ("parallel", {"backend": "threads"}),
 ]
 
 

@@ -92,7 +92,7 @@ class TestAlgorithm2:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["threads", "gpusim"])
+    @pytest.mark.parametrize("backend", ["gpusim"])
     def test_backend_matches_vectorized(self, backend, small_error_matrix):
         """All backends implement the same class-synchronised semantics, so
         from the same start they commit exactly the same swaps."""
@@ -101,13 +101,6 @@ class TestBackends:
         assert other.total == base.total
         assert (other.permutation == base.permutation).all()
         assert other.sweeps == base.sweeps
-
-    def test_threads_worker_counts(self, small_error_matrix):
-        for workers in (1, 2, 8):
-            result = local_search_parallel(
-                small_error_matrix, backend="threads", workers=workers
-            )
-            assert _no_improving_pair(small_error_matrix, result.permutation)
 
     def test_strategy_label(self, small_error_matrix):
         assert (

@@ -77,8 +77,13 @@ class TestWarmHitsStopCopying:
         assert stats.mmap_hits == 0
         assert stats.copied_bytes > 0
 
-    def test_mmap_mode_none_restores_copying(self, tmp_path, rng):
-        store = DiskCacheStore(tmp_path / "cache", mmap_mode=None)
+    def test_unmappable_array_falls_back_to_copying_read(
+        self, store, rng, monkeypatch
+    ):
+        def unmappable(payload_path, sidecar):
+            raise ValueError("payload cannot be mapped")
+
+        monkeypatch.setattr(store, "_read_mmap", unmappable)
         matrix = rng.random((16, 16))
         store.put("matrix/b", matrix)
         got = store.get("matrix/b")
@@ -86,10 +91,9 @@ class TestWarmHitsStopCopying:
         stats = store.stats
         assert stats.mmap_hits == 0
         assert stats.copied_bytes > 0
-
-    def test_invalid_mmap_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="mmap_mode"):
-            DiskCacheStore(tmp_path / "cache", mmap_mode="r+")
+        assert stats.hits == 1
+        assert stats.corruptions == 0
+        assert not os.path.isdir(os.path.join(store.root, "quarantine"))
 
 
 class TestIntegrityUnderMmap:
@@ -118,13 +122,13 @@ class TestIntegrityUnderMmap:
         assert store.get("matrix/d") is None
         assert store.stats.corruptions == 1
 
-    def test_pickled_store_keeps_mmap_mode(self, tmp_path, rng):
-        store = DiskCacheStore(tmp_path / "cache", mmap_mode=None)
+    def test_pickled_store_keeps_mmap_mode(self, store, rng):
         clone = pickle.loads(pickle.dumps(store))
-        assert clone.mmap_mode is None
         matrix = rng.random((8, 8))
         store.put("matrix/e", matrix)
         np.testing.assert_array_equal(clone.get("matrix/e"), matrix)
+        assert clone.stats.mmap_hits == 1
+        assert clone.stats.copied_bytes == 0
 
     def test_get_or_compute_hits_mmap_path(self, store, rng):
         matrix = rng.random((8, 8))
