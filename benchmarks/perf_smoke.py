@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Machine-readable perf smoke for the acceleration layer (PR 4).
 
-Measures the four quantities the hot-path acceleration layer promises —
-error-matrix build time, 2-opt sweep time, pair evaluations saved by
+Measures the quantities the hot-path acceleration layer promises —
+error-matrix build time, cold colour-class build time, 2-opt sweep time
+(with the colour classes already built), pair evaluations saved by
 active-pair pruning, and bytes copied on warm cache hits — and writes
 them to ``BENCH_4.json``.  Invariants (bit-identical pruning, >= 3x fewer
 pair evaluations at S >= 1024, zero copied bytes on a warm hit of a
@@ -27,6 +28,7 @@ import time
 
 import numpy as np
 
+from repro.coloring import build_edge_groups
 from repro.imaging import standard_image
 from repro.localsearch import local_search_parallel
 from repro.mosaic.config import MosaicConfig
@@ -39,6 +41,7 @@ SCHEMA = "repro-perf-smoke/1"
 #: machine-independent and asserted directly instead).
 TIMED_FIELDS = (
     ("error_matrix", "seconds"),
+    ("coloring", "build_seconds"),
     ("sweeps", "pruned_seconds"),
     ("sweeps", "unpruned_seconds"),
 )
@@ -57,6 +60,14 @@ def build_instance(s: int, tile: int) -> np.ndarray:
     _, matrix = gen.build_error_matrix(inp, tgt)
     elapsed = time.perf_counter() - start
     return matrix, elapsed
+
+
+def bench_coloring(s: int) -> dict:
+    """Cold build of the colour classes, so the sweeps below start warm."""
+    build_edge_groups.cache_clear()
+    start = time.perf_counter()
+    build_edge_groups(s)
+    return {"build_seconds": time.perf_counter() - start}
 
 
 def bench_sweeps(matrix: np.ndarray) -> dict:
@@ -158,6 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         "s": args.s,
         "tile": args.tile,
         "error_matrix": {"seconds": matrix_seconds, "backend": "numpy"},
+        "coloring": bench_coloring(args.s),
         "sweeps": bench_sweeps(matrix),
         "warm_cache": bench_warm_cache(matrix),
     }
@@ -167,6 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.out}")
     print(
         f"  error matrix  : {matrix_seconds:.3f}s at S={args.s}\n"
+        f"  colour classes: {report['coloring']['build_seconds']:.3f}s cold\n"
         f"  sweeps        : pruned {report['sweeps']['pruned_seconds']:.3f}s, "
         f"unpruned {report['sweeps']['unpruned_seconds']:.3f}s, "
         f"{report['sweeps']['eval_ratio']:.2f}x fewer pair evaluations\n"

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from repro.coloring.groups import EdgeGroups, build_edge_groups
-from repro.coloring.round_robin import edge_coloring_complete
-from repro.coloring.verify import is_valid_complete_coloring, verify_color_classes
+from repro.coloring.groups import EdgeGroups, build_edge_groups, verify_color_classes
 
 __all__ = [
-    "edge_coloring_complete",
     "EdgeGroups",
     "build_edge_groups",
-    "is_valid_complete_coloring",
     "verify_color_classes",
 ]

@@ -53,6 +53,9 @@ DEFAULT_TOP_K = 32
 #: ``top_k`` candidates (nearest k-means clusters, widened to cover it).
 HEAD_FACTOR = 8
 
+#: Broadcast elements per row block when ranking preference orders.
+ORDER_BLOCK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class SparseErrorMatrix:
@@ -391,11 +394,11 @@ def _score_pairs_chunked(
     return costs
 
 
-def _sq_dist_rows(point: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Squared sketch distances from one point to a stack (deterministic:
-    explicit broadcast, no BLAS reductions)."""
-    diff = others - point[None, :]
-    return np.einsum("nf,nf->n", diff, diff)
+def _sq_dists(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """``(P, N)`` squared sketch distances (deterministic: explicit
+    broadcast, no BLAS reductions)."""
+    diff = others[None, :, :] - points[:, None, :]
+    return np.einsum("pnf,pnf->pn", diff, diff)
 
 
 def _preference_orders(
@@ -419,6 +422,10 @@ def _preference_orders(
     structure keeps the fine ranking effort concentrated near the head.
     All ties break on ascending position, so the order is a pure
     function of the sketches and the k-means seed.
+
+    Rows are ranked in blocks: each position gets a block key (0 for the
+    head clusters, else its cluster's centroid rank) and a row's order is
+    a stable sort by distance, then a stable sort by block key.
     """
     from repro.library.shortlist import kmeans
 
@@ -427,29 +434,31 @@ def _preference_orders(
         clusters = max(1, int(round(s**0.5)))
     clusters = min(clusters, s)
     centroids, labels = kmeans(sketch_tg, clusters, seed=seed)
-    members = [np.flatnonzero(labels == c) for c in range(clusters)]
+    sizes = np.bincount(labels, minlength=clusters)
     probes = max(1, min(probes, clusters))
+    # Small unsigned keys make the block sort a radix sort.
+    ranks = np.arange(clusters, dtype=np.min_scalar_type(clusters))
     orders = np.empty((s, s), dtype=np.int64)
-    for u in range(s):
+    step = max(1, ORDER_BLOCK_ELEMENTS // (s * sketch_tg.shape[1]))
+    for start in range(0, s, step):
+        points = sketch_in[start : start + step]
         cluster_rank = np.argsort(
-            _sq_dist_rows(sketch_in[u], centroids), kind="stable"
+            _sq_dists(points, centroids), axis=1, kind="stable"
         )
-        head_count = 0
-        covered = 0
-        for rank, c in enumerate(cluster_rank):
-            covered += members[c].size
-            head_count = rank + 1
-            if head_count >= probes and covered >= head_width:
-                break
-        parts = []
-        head = np.concatenate([members[c] for c in cluster_rank[:head_count]])
-        dist = _sq_dist_rows(sketch_in[u], sketch_tg[head])
-        parts.append(head[np.lexsort((head, dist))])
-        for c in cluster_rank[head_count:]:
-            m = members[c]
-            dist = _sq_dist_rows(sketch_in[u], sketch_tg[m])
-            parts.append(m[np.lexsort((m, dist))])
-        orders[u] = np.concatenate(parts)
+        covered = np.cumsum(sizes[cluster_rank], axis=1)
+        enough = (ranks + 1 >= probes) & (covered >= head_width)
+        head_count = np.where(
+            enough.any(axis=1), enough.argmax(axis=1) + 1, clusters
+        )
+        rank_of = np.empty_like(cluster_rank, dtype=ranks.dtype)
+        np.put_along_axis(rank_of, cluster_rank, ranks[None, :], axis=1)
+        block = rank_of[:, labels]
+        block[block < head_count[:, None]] = 0
+        by_dist = np.argsort(_sq_dists(points, sketch_tg), axis=1, kind="stable")
+        by_block = np.argsort(
+            np.take_along_axis(block, by_dist, axis=1), axis=1, kind="stable"
+        )
+        orders[start : start + step] = np.take_along_axis(by_dist, by_block, axis=1)
     return orders, clusters
 
 

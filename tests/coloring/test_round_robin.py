@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.coloring.round_robin import edge_coloring_complete
-from repro.coloring.verify import verify_color_classes
+from repro.coloring.groups import build_edge_groups, verify_color_classes
 from repro.exceptions import ValidationError
+
+
+def _pair_lists(n, *, order="paper"):
+    """The colour classes of ``K_n`` as lists of 0-indexed pairs."""
+    return build_edge_groups(n, order=order).as_pair_lists()
+
 
 # The paper's published K_16 colouring (Section IV-B), converted to
 # 0-indexed pairs.  P_16 is the empty set.
@@ -33,19 +38,19 @@ PAPER_K16 = [
 class TestPaperExample:
     def test_reproduces_published_k16_listing(self):
         """The exact P_1..P_16 listing from Section IV-B."""
-        classes = edge_coloring_complete(16, order="paper")
+        classes = _pair_lists(16, order="paper")
         assert [sorted(c) for c in classes] == [sorted(c) for c in PAPER_K16]
 
     def test_round_order_same_partition(self):
-        paper = edge_coloring_complete(16, order="paper")
-        rounds = edge_coloring_complete(16, order="round")
+        paper = _pair_lists(16, order="paper")
+        rounds = _pair_lists(16, order="round")
         assert {frozenset(c) for c in paper} == {frozenset(c) for c in rounds}
 
 
 class TestTheorem1:
     @pytest.mark.parametrize("n", [2, 4, 6, 16, 64, 100, 256])
     def test_even_n_uses_n_minus_1_colors(self, n):
-        classes = edge_coloring_complete(n)
+        classes = _pair_lists(n)
         nonempty = [c for c in classes if c]
         assert len(nonempty) == n - 1
         # Even-n convention: trailing empty class so there are S groups.
@@ -53,43 +58,43 @@ class TestTheorem1:
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 63, 101])
     def test_odd_n_uses_n_colors(self, n):
-        classes = edge_coloring_complete(n)
+        classes = _pair_lists(n)
         nonempty = [c for c in classes if c]
         assert len(nonempty) == n
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 17, 64, 100])
     def test_valid_coloring(self, n):
-        verify_color_classes(edge_coloring_complete(n), n)
+        verify_color_classes(build_edge_groups(n).classes, n)
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_even_classes_are_perfect_matchings(self, n):
-        for pairs in edge_coloring_complete(n):
+        for pairs in _pair_lists(n):
             if pairs:
                 assert len(pairs) == n // 2
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_odd_classes_leave_one_bye(self, n):
-        for pairs in edge_coloring_complete(n):
+        for pairs in _pair_lists(n):
             assert len(pairs) == (n - 1) // 2
 
 
 class TestEdgeCases:
     def test_n1(self):
-        assert edge_coloring_complete(1) == [[]]
+        assert _pair_lists(1) == [[]]
 
     def test_n2(self):
-        classes = edge_coloring_complete(2)
+        classes = _pair_lists(2)
         assert [c for c in classes if c] == [[(0, 1)]]
 
     def test_rejects_zero(self):
         with pytest.raises(ValidationError):
-            edge_coloring_complete(0)
+            build_edge_groups(0)
 
     def test_rejects_unknown_order(self):
         with pytest.raises(ValidationError, match="order"):
-            edge_coloring_complete(8, order="lexicographic")
+            build_edge_groups(8, order="lexicographic")
 
     def test_pairs_normalised(self):
-        for pairs in edge_coloring_complete(17):
+        for pairs in _pair_lists(17):
             for u, v in pairs:
                 assert u < v

@@ -5,22 +5,20 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coloring.round_robin import edge_coloring_complete
-from repro.coloring.verify import verify_color_classes
+from repro.coloring.groups import build_edge_groups, verify_color_classes
 
 
 @given(st.integers(min_value=1, max_value=120), st.sampled_from(["paper", "round"]))
 @settings(max_examples=60)
 def test_always_valid_coloring(n, order):
     """Theorem 1 invariants hold for every n and both orderings."""
-    classes = edge_coloring_complete(n, order=order)
-    verify_color_classes(classes, n)
+    verify_color_classes(build_edge_groups(n, order=order).classes, n)
 
 
 @given(st.integers(min_value=2, max_value=120))
 @settings(max_examples=60)
 def test_class_count_matches_theorem(n):
-    classes = edge_coloring_complete(n)
+    classes = build_edge_groups(n).as_pair_lists()
     nonempty = sum(1 for c in classes if c)
     if n % 2 == 0:
         assert nonempty == n - 1
@@ -32,7 +30,7 @@ def test_class_count_matches_theorem(n):
 @settings(max_examples=40)
 def test_every_vertex_appears_in_every_full_class(n):
     """For even n each class is a perfect matching: all vertices used."""
-    classes = edge_coloring_complete(n)
+    classes = build_edge_groups(n).as_pair_lists()
     for pairs in classes:
         if not pairs:
             continue
