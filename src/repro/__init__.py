@@ -32,12 +32,7 @@ from repro.imaging import (
     standard_image_color,
     synthetic_image,
 )
-from repro.localsearch import (
-    local_search_parallel,
-    local_search_serial,
-    multi_start_local_search,
-    simulated_annealing,
-)
+from repro.localsearch import local_search_parallel, local_search_serial
 from repro.mosaic import (
     DatabaseMosaic,
     MosaicConfig,
@@ -65,8 +60,6 @@ __all__ = [
     "synthetic_image",
     "local_search_serial",
     "local_search_parallel",
-    "simulated_annealing",
-    "multi_start_local_search",
     "VideoMosaicSession",
     "MosaicConfig",
     "MosaicResult",

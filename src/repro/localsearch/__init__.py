@@ -3,22 +3,13 @@
 
 from __future__ import annotations
 
-from repro.localsearch.annealing import simulated_annealing
-from repro.localsearch.base import ConvergenceTrace, LocalSearchResult, swap_gains
+from repro.localsearch.base import ConvergenceTrace, LocalSearchResult
 from repro.localsearch.parallel import local_search_parallel
-from repro.localsearch.restarts import multi_start_local_search
 from repro.localsearch.serial import local_search_serial
-from repro.localsearch.threeopt import refine_three_opt
-from repro.localsearch.windowed import local_search_windowed
 
 __all__ = [
-    "local_search_windowed",
-    "refine_three_opt",
     "ConvergenceTrace",
     "LocalSearchResult",
-    "swap_gains",
     "local_search_serial",
     "local_search_parallel",
-    "simulated_annealing",
-    "multi_start_local_search",
 ]

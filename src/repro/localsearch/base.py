@@ -1,4 +1,4 @@
-"""Shared types and primitives for the local-search algorithms.
+"""Shared result types for the local-search algorithms.
 
 Both algorithms operate on the precomputed error matrix ``E[u, v]`` and a
 permutation ``p`` (``p[v]`` = input tile at target position ``v``).  The
@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+from repro.types import PermutationArray
 
-from repro.types import ErrorMatrix, PermutationArray
-
-__all__ = ["ConvergenceTrace", "LocalSearchResult", "swap_gains"]
+__all__ = ["ConvergenceTrace", "LocalSearchResult"]
 
 
 @dataclass(frozen=True)
@@ -57,21 +55,3 @@ class LocalSearchResult:
     def sweeps(self) -> int:
         """Number of full sweeps performed (the paper's ``k``)."""
         return self.trace.sweeps
-
-
-def swap_gains(
-    matrix: ErrorMatrix,
-    perm: PermutationArray,
-    positions_a: np.ndarray,
-    positions_b: np.ndarray,
-) -> np.ndarray:
-    """Vectorised swap gains for aligned position pairs.
-
-    ``gain[j] > 0`` means swapping the tiles at ``positions_a[j]`` and
-    ``positions_b[j]`` reduces the total error by exactly ``gain[j]``.
-    """
-    tiles_a = perm[positions_a]
-    tiles_b = perm[positions_b]
-    current = matrix[tiles_a, positions_a] + matrix[tiles_b, positions_b]
-    swapped = matrix[tiles_b, positions_a] + matrix[tiles_a, positions_b]
-    return current - swapped

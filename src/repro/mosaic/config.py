@@ -29,7 +29,9 @@ class MosaicConfig:
     solver:
         Assignment-solver registry name for the optimization algorithm
         (``"scipy"`` is the Blossom V stand-in; ``"hungarian"``, ``"jv"``,
-        ``"auction"`` and ``"greedy"`` are also available).
+        ``"auction"``, ``"greedy"``, ``"blossom"`` (Edmonds' blossom via
+        networkx) and ``"bruteforce"`` (all ``S!`` assignments, tiny ``S``
+        only) are also registered).
     histogram_match:
         Pre-adjust the input's intensity distribution to the target's
         (paper Section II).  The paper's adjustment is defined on
@@ -50,6 +52,11 @@ class MosaicConfig:
         Permit the 8 dihedral orientations (rotations/flips) per tile; the
         pairing error becomes the minimum over orientations (an extension
         beyond the paper — see ``repro.tiles.transforms``).
+    pyramid_factor:
+        Tiles per super-tile side for ``algorithm="pyramid"``: the coarse
+        stage solves an exact assignment on ``S / pyramid_factor**2``
+        super-tiles before 2-opt refines single tiles.  Must divide both
+        tile-grid dimensions.
     max_sweeps:
         Safety bound for the local-search algorithms.
     array_backend:

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.cost.matrix import total_error
-from repro.localsearch.base import ConvergenceTrace, swap_gains
+from repro.localsearch.base import ConvergenceTrace
 
 
 class TestConvergenceTrace:
@@ -13,32 +10,3 @@ class TestConvergenceTrace:
         trace = ConvergenceTrace(swap_counts=(5, 2, 0), totals=(100, 90, 90))
         assert trace.sweeps == 3
         assert trace.total_swaps == 7
-
-
-class TestSwapGains:
-    def test_gain_equals_error_delta(self, small_error_matrix, rng):
-        """gain[j] must equal the exact drop in Eq. (2) caused by the swap."""
-        s = small_error_matrix.shape[0]
-        perm = rng.permutation(s).astype(np.intp)
-        a = np.array([0, 5, 10], dtype=np.intp)
-        b = np.array([1, 7, 63], dtype=np.intp)
-        gains = swap_gains(small_error_matrix, perm, a, b)
-        for j in range(a.size):
-            swapped = perm.copy()
-            swapped[a[j]], swapped[b[j]] = swapped[b[j]], swapped[a[j]]
-            delta = total_error(small_error_matrix, perm) - total_error(
-                small_error_matrix, swapped
-            )
-            assert gains[j] == delta
-
-    def test_zero_gain_for_same_tile_pairing(self, small_error_matrix):
-        s = small_error_matrix.shape[0]
-        perm = np.arange(s, dtype=np.intp)
-        a = np.array([3], dtype=np.intp)
-        gains = swap_gains(small_error_matrix, perm, a, a)
-        assert gains[0] == 0
-
-    def test_empty_pairs(self, small_error_matrix):
-        perm = np.arange(small_error_matrix.shape[0], dtype=np.intp)
-        empty = np.array([], dtype=np.intp)
-        assert swap_gains(small_error_matrix, perm, empty, empty).size == 0

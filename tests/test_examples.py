@@ -62,25 +62,11 @@ def test_gallery(monkeypatch, tmp_path, capsys):
     assert len(list((tmp_path / "out").glob("*_mosaic.png"))) == 3
 
 
-def test_beyond_local_optima(monkeypatch, tmp_path, capsys):
-    _run_example(monkeypatch, tmp_path, "beyond_local_optima.py", [])
-    out = capsys.readouterr().out
-    assert "exact matching" in out
-    assert "0.000%" in out
-
-
 def test_gpu_simulation(monkeypatch, tmp_path, capsys):
     _run_example(monkeypatch, tmp_path, "gpu_simulation.py", [])
     out = capsys.readouterr().out
     assert "Performance-model predictions" in out
     assert "Simulated device timeline" in out
-
-
-def test_rearrangement_analysis(monkeypatch, tmp_path, capsys):
-    _run_example(monkeypatch, tmp_path, "rearrangement_analysis.py", [])
-    out = capsys.readouterr().out
-    assert "convergence" in out
-    assert "distance histogram" in out
 
 
 def test_histogram_adjustment(monkeypatch, tmp_path, capsys):
