@@ -1,13 +1,12 @@
 """Tile-error model: cost metrics and error-matrix computation (Step 2).
 
-One Step-2 kernel path serves every caller: :func:`error_matrix` (dense),
-:func:`sparse_error_matrix` (shortlisted, delegating to the dense path
-when ``top_k >= S``) and :func:`error_matrix_parallel` all evaluate the
-metric's own :meth:`~repro.cost.base.CostMetric.pairwise` /
+One Step-2 kernel path serves every caller: :func:`error_matrix` (dense)
+and :func:`sparse_error_matrix` (shortlisted, delegating to the dense
+path when ``top_k >= S``) both evaluate the metric's own
+:meth:`~repro.cost.base.CostMetric.pairwise` /
 :meth:`~repro.cost.base.CostMetric.rowwise` kernels.  The default SAD
-metric's pairwise kernel sweeps cache-resident row blocks through one
-reused scratch buffer, the host analogue of the paper's Section-V
-kernel.
+metric's pairwise kernel runs pixel-major over cache-resident blocks of
+``(u, v)`` lanes, the host analogue of the paper's Section-V kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.cost.matrix import (
     total_error,
     total_error_of_permutation,
 )
-from repro.cost.parallel_matrix import error_matrix_parallel
 from repro.cost.reference import error_matrix_reference, tile_error_reference
 from repro.cost.sad import SADMetric
 from repro.cost.sketch import SKETCH_KINDS, sketch_features
@@ -44,7 +42,6 @@ __all__ = [
     "GradientMetric",
     "check_tile_stacks",
     "error_matrix",
-    "error_matrix_parallel",
     "total_error",
     "total_error_of_permutation",
     "error_matrix_reference",

@@ -5,9 +5,9 @@
 intermediate never exceeds a memory budget (the guides' cache/memory
 rules: bound the working set, keep accesses contiguous).  The default
 SAD metric goes further inside each chunk: its
-:meth:`~repro.cost.sad.SADMetric.pairwise` sweeps cache-resident row
-blocks through one reused scratch buffer, the host analogue of the
-paper's Step-2 kernel.
+:meth:`~repro.cost.sad.SADMetric.pairwise` runs pixel-major over
+cache-resident blocks of ``(u, v)`` lanes through one reused scratch
+buffer, the host analogue of the paper's Step-2 kernel.
 
 :func:`total_error` / :func:`total_error_of_permutation` evaluate the
 paper's Eq. (2) for a given rearrangement.
@@ -35,7 +35,7 @@ __all__ = [
 #: Metrics that broadcast a whole chunk at once (SSD, luminance, colour)
 #: hold at most this many elements — 64 Mi int16 elements is ~128 MiB,
 #: large enough to keep BLAS-free kernels busy, small enough for
-#: laptop-class machines.  SAD blocks each chunk further into ~2 MiB
+#: laptop-class machines.  SAD blocks each chunk further into 640 KiB
 #: scratch sweeps, so for SAD the chunk only bounds its ``rows x S``
 #: int64 result.
 DEFAULT_CHUNK_BUDGET = 64 * 1024 * 1024

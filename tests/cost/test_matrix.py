@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cost.matrix import error_matrix, total_error, total_error_of_permutation
-from repro.cost.reference import error_matrix_reference
+from repro.cost.reference import error_matrix_reference, tile_error_reference
+from repro.cost.sad import SADMetric
 from repro.exceptions import ValidationError
 from repro.tiles.permutation import random_permutation
 
@@ -69,9 +72,18 @@ class TestSADKernel:
 
     @staticmethod
     def _rows_per_block(s: int, f: int) -> int:
+        """Input rows per lane block of ``SADMetric.pairwise`` on ``s x s``
+        pairs of uint8 tiles (peak 255, so 257-pixel uint16 chunks)."""
         from repro.cost.sad import BLOCK_ELEMENTS
 
-        return max(1, BLOCK_ELEMENTS // (s * f))
+        split = f & -f
+        while split * split > f:
+            split //= 2
+        if split <= s:
+            split = 1
+        lane = min(f, 257 * split)
+        cols = max(1, min(s, BLOCK_ELEMENTS // lane))
+        return max(1, min(s, BLOCK_ELEMENTS // (lane * cols)))
 
     @pytest.mark.parametrize(
         "kind, s, shape",
@@ -95,6 +107,73 @@ class TestSADKernel:
         got = error_matrix(tiles_in, tiles_tg, "sad")
         assert got.dtype == np.int64
         assert (got == error_matrix_reference(tiles_in, tiles_tg)).all()
+
+    @pytest.mark.parametrize(
+        "s, shape",
+        [
+            (9, (1, 257)),  # one uint16 chunk, exactly full
+            (9, (1, 258)),  # one pixel over: a second, one-pixel chunk
+            (5, (32, 32)),
+            (6, (8, 8, 3)),
+            (5, (16, 16, 3)),
+            (1, (16, 16)),
+            (1, (1, 258)),
+        ],
+    )
+    def test_chunk_boundaries_match_reference(self, s, shape, rng):
+        tiles_in = rng.integers(0, 256, (s, *shape), dtype=np.uint8)
+        tiles_tg = rng.integers(0, 256, (s, *shape), dtype=np.uint8)
+        got = error_matrix(tiles_in, tiles_tg, "sad")
+        assert (got == error_matrix_reference(tiles_in, tiles_tg)).all()
+
+    @pytest.mark.parametrize("f", [257, 258, 1024])
+    def test_full_uint16_chunk_is_exact(self, f):
+        """0 against 255: at F = 257 a uint16 chunk sum hits 65535, and
+        any wider tile must spill into a second chunk, not wrap."""
+        black = np.zeros((1, f), dtype=np.uint8)
+        white = np.full((1, f), 255, dtype=np.uint8)
+        tiles_in = np.stack([black, white, black])
+        tiles_tg = np.stack([white, black, white])
+        got = error_matrix(tiles_in, tiles_tg, "sad")
+        assert got.max() == 255 * f
+        assert (got == error_matrix_reference(tiles_in, tiles_tg)).all()
+
+    @pytest.mark.parametrize(
+        "rows, width, shape",
+        [
+            (40, 3, (16, 16)),
+            (3, 40, (8, 8, 3)),
+            (1, 70, (16, 16)),
+            (70, 1, (1, 258)),
+        ],
+    )
+    def test_unequal_stacks_match_reference(self, rows, width, shape, rng):
+        """Greedy, library and database callers pass rows != width."""
+        tiles_in = rng.integers(0, 256, (rows, *shape), dtype=np.uint8)
+        tiles_tg = rng.integers(0, 256, (width, *shape), dtype=np.uint8)
+        metric = SADMetric()
+        got = metric.pairwise(metric.prepare(tiles_in), metric.prepare(tiles_tg))
+        want = [[tile_error_reference(a, b) for b in tiles_tg] for a in tiles_in]
+        assert got.dtype == np.int64
+        assert (got == np.array(want)).all()
+
+    @given(
+        rows=st.integers(1, 12),
+        width=st.integers(1, 12),
+        f=st.integers(1, 1100),
+        lo=st.integers(-16384, 255),
+        span=st.integers(0, 16383),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_for_any_shape_and_range(self, rows, width, f, lo, span, seed):
+        """Exact for any int16 features whose differences fit int16: the
+        uint16 chunk length follows the value range of the input."""
+        gen = np.random.default_rng(seed)
+        a = gen.integers(lo, lo + span + 1, (rows, f)).astype(np.int16)
+        b = gen.integers(lo, lo + span + 1, (width, f)).astype(np.int16)
+        want = np.abs(a[:, None, :].astype(np.int64) - b[None, :, :]).sum(axis=2)
+        assert (SADMetric().pairwise(a, b) == want).all()
 
     def test_peak_memory_stays_near_the_output(self, rng):
         """The kernel's scratch is a few MiB, not a chunk-wide broadcast."""
