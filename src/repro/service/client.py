@@ -182,15 +182,20 @@ class MosaicServiceClient:
     def submit_when_admitted(
         self, spec: dict, *, max_wait: float = 60.0
     ) -> dict:
-        """Retry :meth:`submit` on backpressure, honouring ``Retry-After``."""
+        """Retry :meth:`submit` on backpressure, honouring ``Retry-After``,
+        until the next wait would take the waits past ``max_wait``."""
         deadline = time.monotonic() + max_wait
+        waited = 0.0
         while True:
             try:
                 return self.submit(spec)
             except BackpressureError as exc:
-                if time.monotonic() + exc.retry_after > deadline:
+                # Count the waits (the sleep seam may pass no real time);
+                # the clock still bounds a zero Retry-After.
+                waited += exc.retry_after
+                if waited > max_wait or time.monotonic() + exc.retry_after > deadline:
                     raise
-                time.sleep(exc.retry_after)
+                self._sleep(exc.retry_after)
 
     def job(self, job_id: str) -> dict:
         _, body = self._request("GET", f"/v1/jobs/{job_id}")

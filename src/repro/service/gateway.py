@@ -178,7 +178,6 @@ class MosaicGateway:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._streams: dict[str, asyncio.Queue] = {}
         self._seq: dict[str, int] = {}
-        self._closed_jobs: set[str] = set()
         self._pending = 0
         self._closed = False
         self._idle = asyncio.Event()
@@ -231,7 +230,7 @@ class MosaicGateway:
         # is visible to them, and "admitted" is always seq 0.
         self._pending += 1
         self._idle.clear()
-        self._streams[record.job_id] = asyncio.Queue()
+        queue = self._streams[record.job_id] = asyncio.Queue()
         self._seq[record.job_id] = 0
         self.metrics.counter("gateway_admitted").inc()
         self.metrics.gauge("gateway_pending").set(self._pending)
@@ -241,7 +240,7 @@ class MosaicGateway:
             {"name": spec.name or record.job_id, "priority": spec.priority},
             time.perf_counter(),
         )
-        return JobStream(record.job_id, record, self._streams[record.job_id])
+        return JobStream(record.job_id, record, queue)
 
     async def submit_when_admitted(
         self, spec: JobSpec, *, poll: float = 0.01
@@ -309,14 +308,11 @@ class MosaicGateway:
         self, job_id: str, kind: str, payload: dict, emitted_at: float
     ) -> None:
         """Deliver one event to its stream (loop thread only)."""
-        if job_id in self._closed_jobs:
-            # Late emissions from an abandoned (timed-out) attempt after
-            # the job reached a terminal state: never leak them into a
-            # finished stream.
-            self.metrics.counter("gateway_events_dropped").inc()
-            return
         queue = self._streams.get(job_id)
-        if queue is None:  # not admitted through this gateway
+        if queue is None:
+            # Not admitted through this gateway, or a late emission from
+            # an abandoned (timed-out) attempt after the job's terminal
+            # event: never leak it into a finished stream.
             self.metrics.counter("gateway_events_dropped").inc()
             return
         seq = self._seq[job_id]
@@ -334,7 +330,9 @@ class MosaicGateway:
         queue.put_nowait(event)
         if terminal:
             queue.put_nowait(None)  # stream sentinel
-            self._closed_jobs.add(job_id)
+            # The stream holds the queue and the record; the gateway
+            # forgets the finished job.
+            del self._streams[job_id], self._seq[job_id]
             self._pending -= 1
             self.metrics.gauge("gateway_pending").set(self._pending)
             if self._pending == 0:

@@ -90,13 +90,15 @@ class JobEventBroker:
         self._records: "OrderedDict[str, object]" = OrderedDict()
         self._pumps: dict[str, asyncio.Task] = {}
 
-    async def submit(self, spec: JobSpec) -> str:
+    async def submit(self, spec: JobSpec, *, wait: bool = False) -> str:
         """Admit one job; returns its id.
 
         Propagates :class:`~repro.exceptions.AdmissionRejected` untouched
-        — the HTTP layer maps it to ``429 Retry-After``.
+        — the HTTP layer maps it to ``429 Retry-After`` — unless ``wait``
+        makes it wait for a slot (a manifest's streaming window).
         """
-        stream = await self.gateway.submit(spec)
+        submit = self.gateway.submit_when_admitted if wait else self.gateway.submit
+        stream = await submit(spec)
         log = EventLog(stream.job_id)
         self._logs[stream.job_id] = log
         self._records[stream.job_id] = stream.record

@@ -23,6 +23,7 @@ __all__ = [
     "HttpError",
     "HttpRequest",
     "REASONS",
+    "json_object",
     "read_request",
     "response_head",
     "send_json",
@@ -86,6 +87,21 @@ class HttpError(Exception):
         return payload
 
 
+def json_object(body: bytes) -> dict:
+    """Decode ``body`` (a request body or a stdin job line) as a JSON object."""
+    try:
+        payload = json.loads(body.decode("utf-8")) if body else None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise HttpError(
+            400, f"invalid JSON body: {exc}", code="malformed_body"
+        ) from None
+    if not isinstance(payload, dict):
+        raise HttpError(
+            400, "request body must be a JSON object", code="malformed_body"
+        )
+    return payload
+
+
 @dataclass
 class HttpRequest:
     """One parsed request: start line, lowered headers, raw body."""
@@ -108,21 +124,7 @@ class HttpRequest:
 
     def json(self) -> dict:
         """Decode the body as a JSON object (400 on anything else)."""
-        if not self.body:
-            raise HttpError(
-                400, "request body must be a JSON object", code="malformed_body"
-            )
-        try:
-            payload = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HttpError(
-                400, f"invalid JSON body: {exc}", code="malformed_body"
-            ) from None
-        if not isinstance(payload, dict):
-            raise HttpError(
-                400, "request body must be a JSON object", code="malformed_body"
-            )
-        return payload
+        return json_object(self.body)
 
     def int_query(self, name: str, default: int) -> int:
         """Parse an integer query parameter (400 on garbage)."""

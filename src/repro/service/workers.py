@@ -314,7 +314,7 @@ class WorkerPool:
         if self._queue.cancel(job_id):
             self.metrics.counter("jobs_cancelled").inc()
             self.metrics.gauge("queue_depth").set(len(self._queue))
-            self._mark_terminal()
+            self._mark_terminal(job_id)
             return True
         with self._state_lock:
             record = self._records.get(job_id)
@@ -350,6 +350,9 @@ class WorkerPool:
             self.metrics.counter("jobs_cancelled").inc(cancelled)
             with self._all_done:
                 self._open -= cancelled
+                for record in list(self._records.values()):
+                    if record.state is JobState.CANCELLED:
+                        del self._records[record.job_id]
                 self._all_done.notify_all()
         for thread in self._threads:
             thread.join(timeout=timeout)
@@ -361,7 +364,7 @@ class WorkerPool:
         self.shutdown(drain=True)
 
     def records(self) -> list[JobRecord]:
-        """Snapshot of all submitted job records, in submission order."""
+        """Snapshot of the records of jobs not yet terminal, in submission order."""
         with self._state_lock:
             return list(self._records.values())
 
@@ -374,7 +377,7 @@ class WorkerPool:
                 return
             self.metrics.gauge("queue_depth").set(len(self._queue))
             self._execute(record, rng)
-            self._mark_terminal()
+            self._mark_terminal(record.job_id)
 
     def _execute(self, record: JobRecord, rng) -> None:
         spec = record.spec
@@ -538,7 +541,8 @@ class WorkerPool:
             # the attempt and keep the supervisor (and queue) moving.
             executor.shutdown(wait=timeout is None, cancel_futures=True)
 
-    def _mark_terminal(self) -> None:
+    def _mark_terminal(self, job_id: str) -> None:
         with self._all_done:
+            self._records.pop(job_id, None)  # shutdown may have dropped it
             self._open -= 1
             self._all_done.notify_all()

@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from http.client import HTTPException
 
 import pytest
 
 from repro.exceptions import JobError
-from repro.service.client import MosaicServiceClient, ServiceClientError
+from repro.service.client import (
+    BackpressureError,
+    MosaicServiceClient,
+    ServiceClientError,
+)
 
-from tests.service.http.conftest import run_async
+from tests.service.http.conftest import GatedRunner, ServedFront, run_async, spec_dict
 
 STREAM_DROP = (ConnectionError, HTTPException, OSError)
 
@@ -301,3 +306,67 @@ class TestReconnectJitter:
         client = MosaicServiceClient("http://127.0.0.1:1")
         with pytest.raises(JobError, match="reconnect_jitter"):
             list(client.events("job-1", reconnect_jitter=-0.1))
+
+
+class TestSubmitWhenAdmitted:
+    """Backpressure retries against a real front whose admission is full."""
+
+    def test_waits_retry_after_then_submits(self):
+        async def main():
+            runner = GatedRunner()
+            async with ServedFront(
+                runner, workers=1, max_pending=1, retry_after=2.5
+            ) as served:
+                client = MosaicServiceClient(served.base_url)
+                await served.call(client.submit, spec_dict("holder"))
+                sleeps: list[float] = []
+
+                def sleep(seconds: float) -> None:
+                    # Stands in for the wait: free the slot, then return.
+                    sleeps.append(seconds)
+                    runner.gate.set()
+                    while served.gateway.pending:
+                        time.sleep(0.005)
+
+                client._sleep = sleep
+                try:
+                    job = await served.call(
+                        lambda: client.submit_when_admitted(
+                            spec_dict("next"), max_wait=6.0
+                        )
+                    )
+                finally:
+                    runner.gate.set()
+                assert job["name"] == "next"
+                assert sleeps == [2.5]
+
+        run_async(main())
+
+    def test_gives_up_before_passing_max_wait(self):
+        async def main():
+            runner = GatedRunner()
+            async with ServedFront(
+                runner, workers=1, max_pending=1, retry_after=2.5
+            ) as served:
+                client = MosaicServiceClient(served.base_url)
+                await served.call(client.submit, spec_dict("holder"))
+                sleeps: list[float] = []
+                client._sleep = sleeps.append
+
+                def submit() -> BaseException | None:
+                    try:
+                        client.submit_when_admitted(spec_dict("next"), max_wait=6.0)
+                    except BackpressureError as exc:
+                        return exc
+                    return None
+
+                try:
+                    error = await served.call(submit)
+                finally:
+                    runner.gate.set()
+                # 2.5 + 2.5 fits in 6 s; a third wait would not.
+                assert sleeps == [2.5, 2.5]
+                assert isinstance(error, BackpressureError)
+                assert error.retry_after == pytest.approx(2.5)
+
+        run_async(main())
