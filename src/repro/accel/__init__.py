@@ -6,10 +6,12 @@ Two independent pieces, combinable per deployment:
   (NumPy always; CuPy auto-detected when installed), so Step 2 and the
   vectorised Step-3 commit path run unchanged on whichever array library
   the host actually has.
-* :mod:`repro.accel.dirty` — active-pair pruning for the 2-opt sweeps:
-  a per-position dirty mask restricts late sweeps to pairs that can
-  still improve, dropping them from ``O(S^2)`` to ``O(S * dirty)``
+* :mod:`repro.accel.dirty` — active-pair pruning for the serial 2-opt
+  sweeps: a per-position dirty mask restricts late sweeps to pairs that
+  can still improve, dropping them from ``O(S^2)`` to ``O(S * dirty)``
   while provably reaching the *same* fixed point (see the module doc).
+  Algorithm 2 keeps its own per-pair stamps beside its packed pairs
+  (:mod:`repro.localsearch.parallel`).
 """
 
 from repro.accel.backend import (
@@ -19,7 +21,7 @@ from repro.accel.backend import (
     get_backend,
     register_backend,
 )
-from repro.accel.dirty import ClassPruner, SweepPruner
+from repro.accel.dirty import SweepPruner
 
 __all__ = [
     "ArrayBackend",
@@ -27,6 +29,5 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
-    "ClassPruner",
     "SweepPruner",
 ]

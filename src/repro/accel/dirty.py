@@ -1,23 +1,21 @@
-"""Active-pair pruning for the 2-opt sweeps (Step 3).
+"""Active-pair pruning for the serial 2-opt sweeps (Step 3).
 
 Late sweeps of both local-search algorithms commit only a handful of
 swaps, yet the unpruned loops still evaluate all ``S(S-1)/2`` pairs per
-sweep.  Both pruners here exploit the same invariant: a pair's gain
-depends only on the tiles at its two endpoints, so *if neither endpoint
-changed since the pair's last evaluation, the gain is unchanged* — and
-an unchanged gain that did not trigger a commit then cannot trigger one
-now.  Skipping such pairs is exact: identical committed-swap sets,
-identical trajectories, bit-identical final permutations.
+sweep.  Pruning exploits one invariant: a pair's gain depends only on
+the tiles at its two endpoints, so *if neither endpoint changed since
+the pair's last evaluation, the gain is unchanged* — and an unchanged
+gain that did not trigger a commit then cannot trigger one now.
+Skipping such pairs is exact: identical committed-swap sets, identical
+trajectories, bit-identical final permutations.
 
-Two granularities, matched to the two sweep structures:
+The granularity must match the sweep structure:
 
-* :class:`ClassPruner` — per-pair evaluation *timestamps* for the
-  colour-class sweeps of Algorithm 2.  Within a class every improving
-  pair is committed, so an evaluated-but-uncommitted pair is known
-  non-positive; a pair needs re-evaluation exactly when an endpoint was
-  touched *strictly after* the pair's last evaluation (its own commit at
-  the same step flips the gain to non-positive and needs no re-check).
-  This is the tightest mask the endpoint invariant admits.
+* The colour-class sweeps of Algorithm 2 commit *every* improving pair
+  of a class, so an evaluated-but-uncommitted pair is known
+  non-positive and per-pair evaluation timestamps are exact.  They live
+  next to the packed pair arrays they are aligned with, in
+  :class:`repro.localsearch.parallel._ClassWindows`.
 * :class:`SweepPruner` — a per-position dirty mask at *sweep*
   granularity, for the serial ``best_row`` strategy.  ``best_row``
   commits only the single best pair of a row, so other evaluated pairs
@@ -30,10 +28,9 @@ Two granularities, matched to the two sweep structures:
   dirty pairs, and pruning keeps their relative order.
 
 Dirtiness must be *live within a sweep*: a pair whose endpoint was
-touched by an earlier colour class (or earlier row) of the current sweep
-may already improve, so :class:`SweepPruner` tests candidates against
-``dirty_previous_sweep | dirty_so_far_this_sweep`` and
-:class:`ClassPruner` compares timestamps at class-step resolution.
+touched by an earlier row of the current sweep may already improve, so
+:class:`SweepPruner` tests candidates against
+``dirty_previous_sweep | dirty_so_far_this_sweep``.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["ClassPruner", "SweepPruner"]
+__all__ = ["SweepPruner"]
 
 
 class SweepPruner:
@@ -107,68 +104,6 @@ class SweepPruner:
         self.sweeps += 1
         self.live = self._next
         self._next = self.xp.zeros(self.size, dtype=bool)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "pairs_evaluated": int(self.pairs_evaluated),
-            "pairs_skipped": int(self.pairs_skipped),
-        }
-
-
-class ClassPruner:
-    """Per-pair timestamp pruning for the colour-class sweeps.
-
-    ``touched[p]`` is the class-step at which position ``p``'s tile last
-    changed; each class keeps an aligned ``last_eval`` array recording
-    when each of its pairs was last evaluated.  A pair is evaluated only
-    when ``touched`` of an endpoint exceeds its ``last_eval`` — strictly,
-    because a commit at the pair's own evaluation step leaves the gain
-    exactly negated (non-positive), proving it clean until a *later*
-    touch.  ``last_eval`` arrays are created lazily per class id and live
-    on whatever array module ``xp`` names, so the masks stay device-side
-    under CuPy.
-    """
-
-    def __init__(self, size: int, xp: Any = np) -> None:
-        self.xp = xp
-        self.size = size
-        self.touched = xp.zeros(size, dtype=np.int64)
-        self._last_eval: dict[int, Any] = {}
-        self.step = 0
-        self.pairs_evaluated = 0
-        self.pairs_skipped = 0
-        self.sweeps = 0
-
-    def select(self, class_id: int, us: Any, vs: Any) -> tuple[Any, Any]:
-        """Advance one class-step; return the pairs needing evaluation.
-
-        Selected pairs are stamped with the new step — commits reported
-        via :meth:`mark` before the next ``select`` land on this step.
-        """
-        self.step += 1
-        last_eval = self._last_eval.get(class_id)
-        if last_eval is None:  # first sweep: everything needs evaluating
-            last_eval = self.xp.full(us.shape[0], -1, dtype=np.int64)
-            self._last_eval[class_id] = last_eval
-        need = (self.touched[us] > last_eval) | (self.touched[vs] > last_eval)
-        kept = int(need.sum())
-        self.pairs_evaluated += kept
-        self.pairs_skipped += us.shape[0] - kept
-        if kept == us.shape[0]:
-            last_eval[...] = self.step
-            return us, vs
-        if kept == 0:
-            return us[:0], vs[:0]
-        last_eval[need] = self.step
-        return us[need], vs[need]
-
-    def mark(self, us: Any, vs: Any) -> None:
-        """Record commits of the current class-step."""
-        self.touched[us] = self.step
-        self.touched[vs] = self.step
-
-    def end_sweep(self) -> None:
-        self.sweeps += 1
 
     def stats(self) -> dict[str, int]:
         return {

@@ -17,9 +17,9 @@ pairs whose 1-indexed endpoint sum is congruent to ``2i + 1`` modulo
 
 Section IV-B: the groups depend only on the tile count ``S``, so they are
 computed once, stored as packed index arrays, and reused across images.
-:class:`EdgeGroups` is that precomputed, cached artefact: each class is a
-pair of aligned ``(u_array, v_array)`` columns ready for vectorised
-gather/scatter in the swap kernel.
+:class:`EdgeGroups` is that precomputed, cached artefact: two
+``(classes x pairs)`` index arrays whose rows are the non-empty classes,
+ready for vectorised gather/scatter in the swap kernel.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,15 +42,35 @@ __all__ = ["EdgeGroups", "build_edge_groups", "verify_color_classes"]
 class EdgeGroups:
     """Colour classes of ``K_S`` packed as index-array pairs.
 
-    ``classes[i]`` is ``(us, vs)``: two equal-length ``intp`` arrays such
-    that the ``j``-th concurrent swap candidate of class ``i`` is the tile
-    pair ``(us[j], vs[j])``, with ``us`` ascending and ``us < vs``.  All
-    tiles within one class are distinct, so the class's swaps may commit
-    simultaneously.
+    ``us`` and ``vs`` are aligned ``(rows, pairs_per_class)`` ``intp``
+    arrays, one row per non-empty class in class order: the ``j``-th
+    concurrent swap candidate of class ``i`` is the tile pair
+    ``(us[i, j], vs[i, j])``, with each row of ``us`` ascending and
+    ``us < vs``.  All tiles within one class are distinct, so the class's
+    swaps may commit simultaneously.  Every non-empty class has the same
+    pair count, so in the flattened arrays pair ``k`` belongs to class
+    ``k // pairs_per_class``.
+
+    ``classes[i]`` is the ``(us, vs)`` row pair of class ``i`` (views, no
+    copy); for even ``S`` a trailing empty class stands for the paper's
+    ``P_S``.
     """
 
     size: int
-    classes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    us: np.ndarray
+    vs: np.ndarray
+
+    @cached_property
+    def classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        classes = tuple(zip(self.us, self.vs))
+        if self.size % 2 == 0:
+            empty = np.empty(0, dtype=INDEX_DTYPE)
+            classes += ((empty, empty),)
+        return classes
+
+    @property
+    def pairs_per_class(self) -> int:
+        return self.us.shape[1]
 
     @property
     def class_count(self) -> int:
@@ -57,7 +78,7 @@ class EdgeGroups:
 
     @property
     def edge_count(self) -> int:
-        return sum(us.shape[0] for us, _ in self.classes)
+        return self.us.size
 
     def as_pair_lists(self) -> list[list[tuple[int, int]]]:
         """Back-conversion to plain pair lists (for inspection/tests)."""
@@ -97,12 +118,9 @@ def build_edge_groups(size: int, *, order: str = "paper") -> EdgeGroups:
     by_u = np.argsort(us, axis=1)
     us = np.take_along_axis(us, by_u, axis=1)
     vs = np.take_along_axis(vs, by_u, axis=1)
-    classes = tuple(zip(us, vs))
-    if size % 2 == 0:
-        empty = np.empty(0, dtype=INDEX_DTYPE)
-        classes += ((empty, empty),)
-    verify_color_classes(classes, size)
-    return EdgeGroups(size=size, classes=classes)
+    groups = EdgeGroups(size=size, us=us, vs=vs)
+    verify_color_classes(groups.classes, size)
+    return groups
 
 
 def verify_color_classes(

@@ -21,10 +21,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import numbers
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 
+from repro.cost import get_metric
 from repro.exceptions import JobError, ValidationError
 from repro.mosaic.config import MosaicConfig
 
@@ -55,6 +57,10 @@ _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
     JobState.FAILED: frozenset(),
     JobState.CANCELLED: frozenset(),
 }
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,20 @@ class JobSpec:
             raise JobError(
                 f"unknown job kind {self.kind!r} (use one of {JOB_KINDS})"
             )
+        # The queue orders on ``priority`` and the runner seeds from
+        # ``seed``: a mistyped value must fail here, not inside a worker.
+        if not _is_int(self.priority):
+            raise JobError(f"priority must be an integer, got {self.priority!r}")
+        if self.seed is not None and not _is_int(self.seed):
+            raise JobError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.histogram_match, bool):
+            raise JobError(
+                f"histogram_match must be a boolean, got {self.histogram_match!r}"
+            )
+        try:
+            get_metric(self.metric)
+        except ValidationError as exc:
+            raise JobError(str(exc)) from exc
         if self.timeout is not None and self.timeout <= 0:
             raise JobError(f"timeout must be positive, got {self.timeout}")
         if self.max_retries is not None and self.max_retries < 0:

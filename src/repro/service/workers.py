@@ -281,15 +281,15 @@ class WorkerPool:
         with self._state_lock:
             if self._shut_down:
                 raise JobError("pool is shut down")
-            index = self._submitted
+            record = JobRecord(spec=spec, job_id=spec.job_id(self._submitted))
+            if observer is not None:
+                record.set_observer(observer)
+            # Count the job only once the queue took it; holding the lock
+            # keeps a worker from finishing it before it is counted.
+            self._queue.push(record)
             self._submitted += 1
             self._open += 1
-        record = JobRecord(spec=spec, job_id=spec.job_id(index))
-        if observer is not None:
-            record.set_observer(observer)
-        with self._state_lock:
             self._records[record.job_id] = record
-        self._queue.push(record)
         self.metrics.counter("jobs_submitted").inc()
         self.metrics.gauge("queue_depth").set(len(self._queue))
         return record

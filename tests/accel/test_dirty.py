@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.dirty import ClassPruner, SweepPruner
+from repro.accel.dirty import SweepPruner
 
 
 class TestFirstSweep:
@@ -96,68 +96,3 @@ class TestAccounting:
         pruner.end_sweep()
         pruner.end_sweep()
         assert pruner.sweeps == 2
-
-
-class TestClassPruner:
-    def test_first_sweep_evaluates_everything(self):
-        pruner = ClassPruner(8)
-        us = np.array([0, 2, 4])
-        vs = np.array([1, 3, 5])
-        kept_us, kept_vs = pruner.select(0, us, vs)
-        np.testing.assert_array_equal(kept_us, us)
-        np.testing.assert_array_equal(kept_vs, vs)
-        assert pruner.pairs_evaluated == 3
-
-    def test_untouched_pairs_skip_next_sweep(self):
-        pruner = ClassPruner(6)
-        us, vs = np.array([0, 2, 4]), np.array([1, 3, 5])
-        pruner.select(0, us, vs)  # sweep 1: all evaluated, nothing committed
-        kept_us, kept_vs = pruner.select(0, us, vs)  # sweep 2
-        assert kept_us.size == 0 and kept_vs.size == 0
-        assert pruner.pairs_skipped == 3
-
-    def test_own_commit_does_not_retrigger(self):
-        """A committed pair's gain is exactly negated — non-positive — so
-        its own touch must not force a re-evaluation next sweep."""
-        pruner = ClassPruner(4)
-        us, vs = np.array([0]), np.array([1])
-        pruner.select(0, us, vs)
-        pruner.mark(us, vs)  # the pair commits itself
-        kept_us, _ = pruner.select(0, us, vs)
-        assert kept_us.size == 0
-
-    def test_later_touch_retriggers(self):
-        pruner = ClassPruner(4)
-        class_a = (np.array([0]), np.array([1]))
-        class_b = (np.array([1]), np.array([2]))
-        pruner.select(0, *class_a)
-        pruner.select(1, *class_b)
-        pruner.mark(np.array([1]), np.array([2]))  # class b commits
-        # Next sweep: class a shares endpoint 1 with the commit.
-        kept_us, kept_vs = pruner.select(0, *class_a)
-        np.testing.assert_array_equal(kept_us, [0])
-        np.testing.assert_array_equal(kept_vs, [1])
-        # ... while class b itself (self-commit only) stays clean.
-        kept_us, _ = pruner.select(1, *class_b)
-        assert kept_us.size == 0
-
-    def test_partial_selection_preserves_alignment(self):
-        pruner = ClassPruner(8)
-        us, vs = np.array([0, 2, 4, 6]), np.array([1, 3, 5, 7])
-        pruner.select(0, us, vs)
-        pruner.mark(np.array([4]), np.array([5]))
-        other = (np.array([5]), np.array([6]))
-        pruner.select(1, *other)
-        pruner.mark(*other)
-        kept_us, kept_vs = pruner.select(0, us, vs)
-        np.testing.assert_array_equal(kept_us, [4, 6])
-        np.testing.assert_array_equal(kept_vs, [5, 7])
-
-    def test_stats_and_sweep_counter(self):
-        pruner = ClassPruner(4)
-        pruner.select(0, np.array([0]), np.array([1]))
-        pruner.end_sweep()
-        assert pruner.sweeps == 1
-        stats = pruner.stats()
-        assert stats == {"pairs_evaluated": 1, "pairs_skipped": 0}
-        assert all(type(v) is int for v in stats.values())

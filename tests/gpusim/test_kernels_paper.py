@@ -14,6 +14,7 @@ from repro.gpusim.kernels.error_kernel import error_matrix_gpu
 from repro.gpusim.kernels.swap_kernel import run_swap_class_on_device
 from repro.localsearch.parallel import local_search_parallel
 from repro.tiles.permutation import identity_permutation
+from tests.localsearch.class_oracle import commit_class
 
 
 class TestErrorKernel:
@@ -66,10 +67,8 @@ class TestSwapKernel:
         perm_a = identity_permutation(s)
         perm_b = identity_permutation(s)
         swaps = run_swap_class_on_device(small_error_matrix, perm_a, us, vs)
-        # Reference: direct vectorised commit.
-        from repro.localsearch.parallel import _commit_class
-
-        ref_swaps = _commit_class(small_error_matrix, perm_b, us, vs)
+        # Reference: the class-by-class vectorised commit.
+        ref_swaps = commit_class(small_error_matrix, perm_b, us, vs)
         assert swaps == ref_swaps
         assert (perm_a == perm_b).all()
 

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from repro.cost.matrix import error_matrix
 from repro.gpusim.kernels.error_kernel import error_matrix_gpu
 from repro.gpusim.kernels.swap_kernel import run_swap_class_on_device
-from repro.localsearch.parallel import _commit_class
+from tests.localsearch.class_oracle import commit_class
 
 
 @st.composite
@@ -56,7 +56,7 @@ def test_swap_kernel_matches_vectorized_commit(instance):
     perm_gpu = np.arange(n, dtype=np.intp)
     perm_vec = np.arange(n, dtype=np.intp)
     swaps_gpu = run_swap_class_on_device(m, perm_gpu, us, vs)
-    swaps_vec = _commit_class(m, perm_vec, us, vs)
+    swaps_vec = commit_class(m, perm_vec, us, vs)
     assert swaps_gpu == swaps_vec
     assert (perm_gpu == perm_vec).all()
 

@@ -60,6 +60,12 @@ class TestSubmitTaxonomy:
         assert exc.status == 400
         assert exc.code == "invalid_spec"
 
+    def test_mistyped_priority(self):
+        exc = _submit_expecting_error(spec_dict(priority="x"))
+        assert exc.status == 400
+        assert exc.code == "invalid_spec"
+        assert "priority" in str(exc)
+
 class TestRawBodies:
     def _roundtrip(self, body: bytes) -> tuple[int, dict]:
         async def scenario():

@@ -1,0 +1,80 @@
+"""Mistyped job-spec fields are rejected at admission, not inside a worker.
+
+``priority`` orders the queue's heap and ``seed``, ``metric`` and
+``histogram_match`` steer the runner, so a spec carrying the wrong type
+must fail as a 400 ``invalid_spec`` before a pool ever counts it.  A
+push that fails anyway leaves no record and no open job behind.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.exceptions import JobError
+from repro.service.http.protocol import HttpError
+from repro.service.http.server import spec_from_payload
+from repro.service.jobs import JobSpec
+from repro.service.workers import WorkerPool
+
+BASE = {"input": "portrait", "target": "sailboat", "size": 64, "tile_size": 8}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("priority", "x"),
+        ("priority", 1.5),
+        ("priority", True),
+        ("priority", None),
+        ("seed", 1.5),
+        ("seed", "7"),
+        ("seed", False),
+        ("histogram_match", "x"),
+        ("histogram_match", 1),
+        ("metric", "nope"),
+    ],
+)
+def test_mistyped_field_is_invalid_spec(field, value):
+    with pytest.raises(HttpError) as err:
+        spec_from_payload({**BASE, field: value})
+    assert err.value.status == 400
+    assert err.value.code == "invalid_spec"
+    assert field.split("_")[0] in err.value.message
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("priority", -3), ("seed", None), ("seed", 2**63), ("histogram_match", False)],
+)
+def test_well_typed_fields_pass(field, value):
+    assert getattr(spec_from_payload({**BASE, field: value}), field) == value
+
+
+def test_library_spec_checks_metric_too():
+    with pytest.raises(JobError, match="unknown cost metric"):
+        JobSpec(**BASE, kind="library", metric="nope")
+
+
+def _echo(job_spec: JobSpec) -> str:
+    return job_spec.name
+
+
+def test_failed_push_leaves_no_open_job(monkeypatch):
+    pool = WorkerPool(workers=1, runner=_echo)
+    try:
+
+        def refuse(record):
+            raise JobError("queue is closed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pool._queue, "push", refuse)
+            with pytest.raises(JobError, match="closed"):
+                pool.submit(JobSpec(**BASE))
+        assert pool.join(timeout=1)
+        assert pool._records == {}
+        # The refused job did not use up a batch position.
+        record = pool.submit(JobSpec(**BASE))
+        assert record.job_id == JobSpec(**BASE).job_id(0)
+        assert pool.join(timeout=5)
+    finally:
+        pool.shutdown()
