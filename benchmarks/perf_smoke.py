@@ -5,11 +5,14 @@ Measures the quantities the hot-path acceleration layer promises —
 error-matrix build time, cold colour-class build time, 2-opt sweep time
 (with the colour classes already built), pair evaluations saved by
 active-pair pruning, and bytes copied on warm cache hits — and writes
-them to ``BENCH_4.json``.  Invariants (bit-identical pruning, >= 3x fewer
-pair evaluations at S >= 1024, zero copied bytes on a warm hit of a
-default store) are asserted on every run; wall-clock numbers are
-additionally compared against a committed baseline with ``--baseline``
-(used by the CI perf-smoke job, which fails on a > 2x regression).
+them to ``BENCH_4.json``.  Invariants (>= 3x fewer pair evaluations than
+full-width sweeps at S >= 1024, zero copied bytes on a warm hit of a
+default store) are asserted on every run.  With ``--baseline`` the
+sweep's machine-independent results (total error, sweeps, pairs
+evaluated) must equal the committed ones and wall-clock numbers must
+stay within ``--max-ratio`` of them (the CI perf-smoke job fails on a
+> 2x regression).  That pruning changes no result is pinned by the test
+suite, against the unpruned class-by-class oracle on this same instance.
 
 Run from the repo root::
 
@@ -35,16 +38,17 @@ from repro.mosaic.config import MosaicConfig
 from repro.mosaic.generator import PhotomosaicGenerator
 from repro.service.diskcache import DiskCacheStore
 
-SCHEMA = "repro-perf-smoke/1"
+SCHEMA = "repro-perf-smoke/2"
 
-#: Timing fields checked against the baseline (counters and ratios are
-#: machine-independent and asserted directly instead).
+#: Timing fields checked against the baseline within ``--max-ratio``.
 TIMED_FIELDS = (
     ("error_matrix", "seconds"),
     ("coloring", "build_seconds"),
     ("sweeps", "pruned_seconds"),
-    ("sweeps", "unpruned_seconds"),
 )
+
+#: Machine-independent sweep results that must equal the baseline's.
+EXACT_FIELDS = ("total_error", "sweeps", "pairs_evaluated_pruned")
 
 
 def build_instance(s: int, tile: int) -> np.ndarray:
@@ -72,29 +76,24 @@ def bench_coloring(s: int) -> dict:
 
 def bench_sweeps(matrix: np.ndarray) -> dict:
     s = matrix.shape[0]
+    # Untimed warm-up: the first run in a process also pays the
+    # allocator's first page faults for the window temporaries.
+    local_search_parallel(matrix)
     start = time.perf_counter()
-    unpruned = local_search_parallel(matrix, prune=False)
-    unpruned_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    pruned = local_search_parallel(matrix, prune=True)
+    pruned = local_search_parallel(matrix)
     pruned_seconds = time.perf_counter() - start
-    identical = bool(
-        (pruned.permutation == unpruned.permutation).all()
-        and pruned.trace.totals == unpruned.trace.totals
-    )
     sweeps = len(pruned.trace.swap_counts)
+    # What full-width sweeps would evaluate: every pair, every sweep.
     pairs_full = sweeps * s * (s - 1) // 2
     pairs_pruned = pruned.meta["pairs_evaluated"]
     return {
         "s": s,
         "sweeps": sweeps,
         "pruned_seconds": pruned_seconds,
-        "unpruned_seconds": unpruned_seconds,
-        "pairs_evaluated_unpruned": pairs_full,
+        "pairs_full": pairs_full,
         "pairs_evaluated_pruned": pairs_pruned,
         "pairs_skipped": pruned.meta["pairs_skipped"],
         "eval_ratio": pairs_full / max(1, pairs_pruned),
-        "bit_identical": identical,
         "total_error": int(pruned.total),
     }
 
@@ -115,8 +114,6 @@ def bench_warm_cache(matrix: np.ndarray) -> dict:
 def check_invariants(report: dict) -> list[str]:
     failures = []
     sweeps = report["sweeps"]
-    if not sweeps["bit_identical"]:
-        failures.append("pruned sweep result differs from unpruned")
     if sweeps["s"] >= 1024 and sweeps["eval_ratio"] < 3.0:
         failures.append(
             f"pruning saved only {sweeps['eval_ratio']:.2f}x pair "
@@ -134,6 +131,11 @@ def check_invariants(report: dict) -> list[str]:
 
 def check_baseline(report: dict, baseline: dict, max_ratio: float) -> list[str]:
     failures = []
+    for field in EXACT_FIELDS:
+        old = baseline["sweeps"][field]
+        new = report["sweeps"][field]
+        if new != old:
+            failures.append(f"sweeps.{field}: {new} vs baseline {old}")
     for section, field in TIMED_FIELDS:
         old = baseline.get(section, {}).get(field)
         new = report.get(section, {}).get(field)
@@ -180,9 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"  error matrix  : {matrix_seconds:.3f}s at S={args.s}\n"
         f"  colour classes: {report['coloring']['build_seconds']:.3f}s cold\n"
-        f"  sweeps        : pruned {report['sweeps']['pruned_seconds']:.3f}s, "
-        f"unpruned {report['sweeps']['unpruned_seconds']:.3f}s, "
-        f"{report['sweeps']['eval_ratio']:.2f}x fewer pair evaluations\n"
+        f"  sweeps        : {report['sweeps']['pruned_seconds']:.3f}s, "
+        f"{report['sweeps']['eval_ratio']:.2f}x fewer pair evaluations "
+        "than full width\n"
         f"  warm cache    : {report['warm_cache']['mmap_copied_bytes']} B copied"
         " under mmap"
     )

@@ -55,7 +55,6 @@ CASES: dict[str, dict] = {
         "size": 48,
         "tile_size": 8,
         "algorithm": "approximation",
-        "serial_strategy": "first",
     },
     "parallel-vectorized-64": {
         "input": "peppers",

@@ -17,6 +17,9 @@ Execution backends:
   only the first class in the window that improves (see
   :class:`_ClassWindows`), which keeps the class-by-class trajectory
   exactly while paying one host dispatch per window instead of per class.
+  After the first sweep it evaluates only pairs with an endpoint touched
+  since their last evaluation (active-pair pruning), which changes no
+  result; ``meta`` reports ``pairs_evaluated`` and ``pairs_skipped``.
 * ``"gpusim"`` — executes each class as a kernel launch on the virtual
   GPU (:mod:`repro.gpusim`), exercising the grid/block/shared-memory code
   path used for the performance model.
@@ -40,7 +43,10 @@ from repro.types import ErrorMatrix, PermutationArray
 from repro.utils.arrays import cached_positions
 from repro.utils.validation import check_error_matrix, check_permutation
 
-__all__ = ["local_search_parallel"]
+__all__ = ["BACKENDS", "local_search_parallel"]
+
+#: Execution backends of :func:`local_search_parallel` (see module doc).
+BACKENDS = ("vectorized", "gpusim")
 
 #: Most pairs one window gathers.  At S=1024 a window of 64 Ki pairs
 #: (128 classes) sweeps as fast as an uncapped one, within noise, and
@@ -65,8 +71,8 @@ class _ClassWindows:
     ``cur[p] = E[perm[p], p]`` is kept up to date on commit, so a pair
     costs two matrix gathers (the post-swap placements) instead of four.
 
-    Active-pair pruning (``prune``): a pair is evaluated only when an
-    endpoint was touched by a commit *after* the pair's last evaluation.
+    Active-pair pruning: a pair is evaluated only when an endpoint was
+    touched by a commit *after* the pair's last evaluation.
     ``touched`` holds the clock of each position's last commit and
     ``last_eval`` (aligned with the packed pairs) the clock of each
     pair's last evaluation.  The clock ticks once per committing window:
@@ -88,7 +94,6 @@ class _ClassWindows:
         perm: Any,
         groups: EdgeGroups,
         allowed: Any | None,
-        prune: bool,
     ) -> None:
         xp = self.xp = xb.xp
         s = self.size = matrix.shape[0]
@@ -104,11 +109,8 @@ class _ClassWindows:
         self.rows = groups.us.shape[0] if self.pairs else 0
         self.max_window = max(1, WINDOW_PAIRS // max(1, self.pairs))
         self.window = 1
-        if prune:
-            self.touched = xp.zeros(s, dtype=np.int32)
-            self.last_eval = xp.full(self.us.shape[0], -1, dtype=np.int32)
-        else:
-            self.last_eval = None
+        self.touched = xp.zeros(s, dtype=np.int32)
+        self.last_eval = xp.full(self.us.shape[0], -1, dtype=np.int32)
         self.clock = 0
         self.pairs_evaluated = 0
         self.pairs_skipped = 0
@@ -117,7 +119,7 @@ class _ClassWindows:
     def sweep(self) -> int:
         """Run every class once, in order; return the swaps committed."""
         xp, s, pairs = self.xp, self.size, self.pairs
-        perm, cur, flat = self.perm, self.cur, self.flat
+        perm, cur, flat, touched = self.perm, self.cur, self.flat, self.touched
         swaps = 0
         a = 0
         while a < self.rows:
@@ -125,17 +127,14 @@ class _ClassWindows:
             hi = min(a + self.window, self.rows) * pairs
             us, vs = self.us[lo:hi], self.vs[lo:hi]
             self.dispatches += 1
-            need = None  # None: every pair of the window is evaluated
-            if self.last_eval is not None:
-                stamps = self.last_eval[lo:hi]
-                touched = self.touched
-                need = xp.flatnonzero(
-                    (touched.take(us) > stamps) | (touched.take(vs) > stamps)
-                )
-                if need.size == hi - lo:
-                    need = None
-                else:
-                    us, vs = us.take(need), vs.take(need)
+            stamps = self.last_eval[lo:hi]
+            need = xp.flatnonzero(
+                (touched.take(us) > stamps) | (touched.take(vs) > stamps)
+            )
+            if need.size == hi - lo:
+                need = None  # every pair of the window is evaluated
+            else:
+                us, vs = us.take(need), vs.take(need)
             tiles_u, tiles_v = perm.take(us), perm.take(vs)
             moved_u = flat.take(tiles_v * s + us)
             moved_v = flat.take(tiles_u * s + vs)
@@ -169,12 +168,11 @@ class _ClassWindows:
             perm[cv] = tiles_u.take(commit)
             cur[cu] = moved_u.take(commit)
             cur[cv] = moved_v.take(commit)
-            if self.last_eval is not None:
-                self.clock += 1
-                self.touched[cu] = self.clock
-                self.touched[cv] = self.clock
-                own = lo + (commit if need is None else need.take(commit))
-                self.last_eval[own] = self.clock
+            self.clock += 1
+            touched[cu] = self.clock
+            touched[cv] = self.clock
+            own = lo + (commit if need is None else need.take(commit))
+            self.last_eval[own] = self.clock
             swaps += int(commit.size)
             a += span // pairs
             self.window = span // pairs
@@ -188,12 +186,11 @@ class _ClassWindows:
             count = int(self.xp.searchsorted(need, span))
         self.pairs_evaluated += count
         self.pairs_skipped += span - count
-        if self.last_eval is not None:
-            stamps = self.last_eval[lo : lo + span]
-            if need is None:
-                stamps[...] = self.clock
-            else:
-                stamps[need[:count]] = self.clock
+        stamps = self.last_eval[lo : lo + span]
+        if need is None:
+            stamps[...] = self.clock
+        else:
+            stamps[need[:count]] = self.clock
         return count
 
 
@@ -204,7 +201,6 @@ def local_search_parallel(
     groups: EdgeGroups | None = None,
     backend: str = "vectorized",
     max_sweeps: int = 10_000,
-    prune: bool = True,
     candidates: np.ndarray | None = None,
     array_backend: str | ArrayBackend | None = None,
     on_sweep: Callable[[int, int, int], None] | None = None,
@@ -224,16 +220,6 @@ def local_search_parallel(
         ``"vectorized"`` or ``"gpusim"`` (see module doc).
     max_sweeps:
         Safety bound; exceeding it raises :class:`ConvergenceError`.
-    prune:
-        Active-pair pruning (``"vectorized"`` backend only): after the
-        first sweep a pair is evaluated only when an endpoint was
-        touched by a committed swap since the pair's own last
-        evaluation (per-pair timestamps).  Bit-identical results — the
-        class commits every improving pair and an untouched pair cannot
-        newly improve (see :class:`_ClassWindows`) — while late
-        sweeps drop from ``O(S^2)`` to ``O(S * dirty)``.  The
-        ``"gpusim"`` backend models full-width execution and ignores
-        it.
     candidates:
         Optional boolean ``(S, S)`` mask over ``(tile, position)``
         placements (a :meth:`~repro.cost.sparse.SparseErrorMatrix.mask`):
@@ -266,9 +252,9 @@ def local_search_parallel(
         raise ValidationError(
             f"edge groups are for S={groups.size}, matrix has S={s}"
         )
-    if backend not in ("vectorized", "gpusim"):
+    if backend not in BACKENDS:
         raise ValidationError(
-            f"unknown backend {backend!r} (use vectorized|gpusim)"
+            f"unknown backend {backend!r} (use one of {BACKENDS})"
         )
     if max_sweeps < 1:
         raise ValidationError(f"max_sweeps must be >= 1, got {max_sweeps}")
@@ -318,7 +304,6 @@ def local_search_parallel(
             work_perm,
             groups,
             None if candidates is None else xb.asarray(candidates),
-            prune,
         )
         sweep = windows.sweep
 
@@ -355,7 +340,7 @@ def local_search_parallel(
         "classes": groups.class_count,
         "array_backend": xb.name,
     }
-    if backend == "vectorized" and prune:
+    if backend == "vectorized":
         meta["pairs_evaluated"] = windows.pairs_evaluated
         meta["pairs_skipped"] = windows.pairs_skipped
     return LocalSearchResult(

@@ -1,17 +1,9 @@
-"""Serial approximation algorithm (paper Algorithm 1) and a vectorised
-serial variant.
+"""Serial approximation algorithm (paper Algorithm 1).
 
-Two sweep strategies:
-
-* ``"first"`` — the paper's Algorithm 1, verbatim: scan all pairs
-  ``u < v`` in lexicographic order and commit every improving swap as soon
-  as it is found.  Implemented as a scalar Python loop — deliberately, since
-  this is also the measured "CPU" column of the Table III reproduction.
-* ``"best_row"`` — a vectorised serial variant: for each position ``u``
-  compute the gains against all ``v > u`` at once and commit the single
-  best improving swap.  Different visit order, same fixed points: both
-  strategies terminate exactly at pairwise-swap-optimal permutations, so
-  final quality is comparable (the sweep ablation quantifies this).
+Scan all pairs ``u < v`` in lexicographic order and commit every
+improving swap as soon as it is found.  Implemented as a scalar Python
+loop — deliberately, since this is also the measured "CPU" column of the
+Table III reproduction.
 
 Every committed swap strictly decreases the integer total error, so
 termination is guaranteed; ``max_sweeps`` is only a safety net.
@@ -23,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.accel.dirty import SweepPruner
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.localsearch.base import ConvergenceTrace, LocalSearchResult
 from repro.tiles.permutation import identity_permutation
@@ -95,75 +86,15 @@ def _sweep_first_masked(
     return swaps
 
 
-def _sweep_best_row(
-    matrix: np.ndarray,
-    perm: np.ndarray,
-    s: int,
-    pruner: SweepPruner | None = None,
-    allowed: np.ndarray | None = None,
-) -> int:
-    """One best-improvement-per-row sweep (vectorised); returns swap count.
-
-    With a :class:`~repro.accel.dirty.SweepPruner`, rows are evaluated
-    only against candidates with a dirty endpoint: a pair both of whose
-    endpoints are untouched since its last evaluation had a non-positive
-    gain then and the same gain now, so skipping it cannot change the
-    committed swap — including ``argmax`` tie-breaking, since every tie
-    at a *positive* maximum is a dirty pair and pruning preserves their
-    relative order (see the :mod:`repro.accel.dirty` module doc).
-    """
-    positions = cached_positions(s)
-    swaps = 0
-    for u in range(s):
-        rest = positions[u + 1 :]
-        if rest.size == 0:
-            break
-        if pruner is None:
-            candidates = rest
-        elif pruner.live[u]:
-            candidates = rest
-            pruner.count(rest.size, 0)
-        else:
-            candidates = rest[pruner.live[rest]]
-            pruner.count(candidates.size, rest.size - candidates.size)
-            if candidates.size == 0:
-                continue
-        tile_u = perm[u]
-        tiles_rest = perm[candidates]
-        gains = (
-            matrix[tile_u, u]
-            + matrix[tiles_rest, candidates]
-            - matrix[tiles_rest, u]
-            - matrix[tile_u, candidates]
-        )
-        if allowed is not None:
-            # Candidate restriction: a swap must place both tiles on
-            # shortlisted positions.  Candidacy depends only on the pair's
-            # endpoint tiles, so an untouched pair keeps both its gain and
-            # its eligibility — the pruner's skip argument still holds.
-            ok = allowed[tiles_rest, u] & allowed[tile_u, candidates]
-            gains = np.where(ok, gains, -1)
-        best = int(np.argmax(gains))
-        if gains[best] > 0:
-            v = int(candidates[best])
-            perm[u], perm[v] = perm[v], perm[u]
-            if pruner is not None:
-                pruner.mark_pair(u, v)
-            swaps += 1
-    return swaps
-
-
 def local_search_serial(
     matrix: ErrorMatrix,
     initial: PermutationArray | None = None,
     *,
-    strategy: str = "first",
     max_sweeps: int = 10_000,
-    prune: bool = True,
     candidates: np.ndarray | None = None,
     on_sweep: Callable[[int, int, int], None] | None = None,
 ) -> LocalSearchResult:
-    """Run the serial approximation algorithm to a 2-opt local optimum.
+    """Run Algorithm 1 to a 2-opt local optimum.
 
     Parameters
     ----------
@@ -172,24 +103,14 @@ def local_search_serial(
     initial:
         Starting rearrangement; identity (the paper's implicit start — the
         unrearranged input) when omitted.
-    strategy:
-        ``"first"`` (paper Algorithm 1) or ``"best_row"`` (vectorised).
     max_sweeps:
         Safety bound; exceeding it raises :class:`ConvergenceError`.
-    prune:
-        Active-pair pruning for ``"best_row"``: sweeps after the first
-        evaluate only pairs with at least one endpoint touched by a
-        committed swap (:mod:`repro.accel.dirty`).  Bit-identical results;
-        late sweeps drop from ``O(S^2)`` to ``O(S * dirty)``.  The
-        ``"first"`` strategy is the paper's measured scalar baseline and
-        is never pruned.
     candidates:
         Optional boolean ``(S, S)`` mask over ``(tile, position)``
         placements (a :meth:`~repro.cost.sparse.SparseErrorMatrix.mask`):
         swaps are evaluated only when both resulting placements are
         candidates.  An all-``True`` mask reproduces the unrestricted
-        search exactly; pruned-sweep bookkeeping is preserved because a
-        pair's eligibility depends only on its endpoint tiles.
+        search exactly.
     on_sweep:
         Optional progress hook called after every sweep with
         ``(sweep_index, swaps_committed, total_error)``.  Exceptions it
@@ -202,8 +123,6 @@ def local_search_serial(
         perm = identity_permutation(s)
     else:
         perm = check_permutation(initial, s).copy()
-    if strategy not in ("first", "best_row"):
-        raise ValidationError(f"unknown strategy {strategy!r} (use first|best_row)")
     if max_sweeps < 1:
         raise ValidationError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if candidates is not None:
@@ -216,51 +135,28 @@ def local_search_serial(
     swap_counts: list[int] = []
     totals: list[int] = []
     positions = cached_positions(s)
-    meta: dict = {}
-    if strategy == "first":
-        matrix_list = matrix.tolist()
-        perm_list = perm.tolist()
-        allowed_list = candidates.tolist() if candidates is not None else None
-        while True:
-            if allowed_list is None:
-                swaps = _sweep_first(matrix_list, perm_list, s)
-            else:
-                swaps = _sweep_first_masked(
-                    matrix_list, perm_list, s, allowed_list
-                )
-            perm = np.array(perm_list, dtype=np.intp)
-            swap_counts.append(swaps)
-            totals.append(int(matrix[perm, positions].sum()))
-            if on_sweep is not None:
-                on_sweep(len(swap_counts) - 1, swaps, totals[-1])
-            if swaps == 0:
-                break
-            if len(swap_counts) >= max_sweeps:
-                raise ConvergenceError(
-                    f"serial local search exceeded {max_sweeps} sweeps"
-                )
-    else:
-        pruner = SweepPruner(s) if prune else None
-        while True:
-            swaps = _sweep_best_row(matrix, perm, s, pruner, candidates)
-            if pruner is not None:
-                pruner.end_sweep()
-            swap_counts.append(swaps)
-            totals.append(int(matrix[perm, positions].sum()))
-            if on_sweep is not None:
-                on_sweep(len(swap_counts) - 1, swaps, totals[-1])
-            if swaps == 0:
-                break
-            if len(swap_counts) >= max_sweeps:
-                raise ConvergenceError(
-                    f"serial local search exceeded {max_sweeps} sweeps"
-                )
-        if pruner is not None:
-            meta = pruner.stats()
+    matrix_list = matrix.tolist()
+    perm_list = perm.tolist()
+    allowed_list = candidates.tolist() if candidates is not None else None
+    while True:
+        if allowed_list is None:
+            swaps = _sweep_first(matrix_list, perm_list, s)
+        else:
+            swaps = _sweep_first_masked(matrix_list, perm_list, s, allowed_list)
+        perm = np.array(perm_list, dtype=np.intp)
+        swap_counts.append(swaps)
+        totals.append(int(matrix[perm, positions].sum()))
+        if on_sweep is not None:
+            on_sweep(len(swap_counts) - 1, swaps, totals[-1])
+        if swaps == 0:
+            break
+        if len(swap_counts) >= max_sweeps:
+            raise ConvergenceError(
+                f"serial local search exceeded {max_sweeps} sweeps"
+            )
     return LocalSearchResult(
         permutation=perm,
         total=totals[-1],
         trace=ConvergenceTrace(tuple(swap_counts), tuple(totals)),
-        strategy=strategy,
-        meta=meta,
+        strategy="first",
     )

@@ -42,9 +42,6 @@ class MosaicConfig:
         channel independently (an extension beyond the paper; channel-wise
         matching can shift hues since channels are remapped separately).
         Only meaningful when ``histogram_match`` is enabled.
-    serial_strategy:
-        Sweep strategy for ``algorithm="approximation"``
-        (``"first"`` = Algorithm 1 verbatim, ``"best_row"`` = vectorised).
     parallel_backend:
         Backend for ``algorithm="parallel"``
         (``"vectorized"`` | ``"gpusim"``).
@@ -88,7 +85,6 @@ class MosaicConfig:
     solver: str = "scipy"
     histogram_match: bool = True
     color_histogram_match: bool = False
-    serial_strategy: str = "first"
     parallel_backend: str = "vectorized"
     allow_transforms: bool = False
     pyramid_factor: int = 2
@@ -107,6 +103,21 @@ class MosaicConfig:
             )
         if self.max_sweeps < 1:
             raise ValidationError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        from repro.assignment.base import available_solvers
+        from repro.cost import get_metric
+        from repro.localsearch.parallel import BACKENDS
+
+        get_metric(self.metric)
+        if self.solver not in available_solvers():
+            raise ValidationError(
+                f"unknown solver {self.solver!r} "
+                f"(use one of {available_solvers()})"
+            )
+        if self.parallel_backend not in BACKENDS:
+            raise ValidationError(
+                f"unknown parallel backend {self.parallel_backend!r} "
+                f"(use one of {BACKENDS})"
+            )
         if self.pyramid_factor < 1:
             raise ValidationError(
                 f"pyramid_factor must be >= 1, got {self.pyramid_factor}"

@@ -172,7 +172,6 @@ class PhotomosaicGenerator:
             result = local_search_serial(
                 matrix,
                 initial,
-                strategy=cfg.serial_strategy,
                 max_sweeps=cfg.max_sweeps,
                 candidates=candidates,
                 on_sweep=on_sweep,

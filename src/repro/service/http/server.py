@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import asyncio
 import hmac
+import os
+import re
 import time
 
 from repro.exceptions import AdmissionRejected, JobError
@@ -99,6 +101,20 @@ def spec_from_payload(payload: dict) -> JobSpec:
             400,
             f"unknown job kind {kind!r} (use one of {JOB_KINDS})",
             code="unknown_kind",
+        )
+    output = payload.get("output")
+    if output is not None and (
+        not isinstance(output, str)
+        or os.path.isabs(output)
+        or ".." in re.split(r"[/\\]", output)
+    ):
+        # The runner joins a relative output onto its output directory;
+        # a network client must not name a file anywhere else.
+        raise HttpError(
+            400,
+            f"invalid job spec: output must be a relative path without "
+            f"'..', got {output!r}",
+            code="invalid_spec",
         )
     try:
         return JobSpec(**payload)

@@ -26,7 +26,6 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-from repro.cost import get_metric
 from repro.exceptions import JobError, ValidationError
 from repro.mosaic.config import MosaicConfig
 
@@ -57,6 +56,11 @@ _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
     JobState.FAILED: frozenset(),
     JobState.CANCELLED: frozenset(),
 }
+
+
+#: Integer spec fields, and those of them that may be ``None``.
+_INT_FIELDS = ("priority", "size", "tile_size", "shortlist_top_k", "seed", "max_retries")
+_OPTIONAL = ("seed", "max_retries")
 
 
 def _is_int(value: object) -> bool:
@@ -142,22 +146,26 @@ class JobSpec:
             raise JobError(
                 f"unknown job kind {self.kind!r} (use one of {JOB_KINDS})"
             )
-        # The queue orders on ``priority`` and the runner seeds from
-        # ``seed``: a mistyped value must fail here, not inside a worker.
-        if not _is_int(self.priority):
-            raise JobError(f"priority must be an integer, got {self.priority!r}")
-        if self.seed is not None and not _is_int(self.seed):
-            raise JobError(f"seed must be an integer, got {self.seed!r}")
+        # The queue orders on ``priority``, the pool counts attempts from
+        # ``max_retries`` and the runner sizes and seeds from the rest: a
+        # mistyped value must fail here, not inside a worker.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name in _OPTIONAL)):
+                raise JobError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.histogram_match, bool):
             raise JobError(
                 f"histogram_match must be a boolean, got {self.histogram_match!r}"
             )
-        try:
-            get_metric(self.metric)
-        except ValidationError as exc:
-            raise JobError(str(exc)) from exc
-        if self.timeout is not None and self.timeout <= 0:
-            raise JobError(f"timeout must be positive, got {self.timeout}")
+        if self.size < 1:
+            raise JobError(f"size must be >= 1, got {self.size}")
+        if self.timeout is not None:
+            if isinstance(self.timeout, bool) or not isinstance(
+                self.timeout, numbers.Real
+            ):
+                raise JobError(f"timeout must be a number, got {self.timeout!r}")
+            if self.timeout <= 0:
+                raise JobError(f"timeout must be positive, got {self.timeout}")
         if self.max_retries is not None and self.max_retries < 0:
             raise JobError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backend is not None:

@@ -27,6 +27,8 @@ from repro.localsearch import local_search_parallel, local_search_serial
 from repro.mosaic.config import MosaicConfig
 from repro.mosaic.generator import PhotomosaicGenerator
 
+from .class_oracle import local_search_classwise
+
 # (image size, tile size, grid tiles S, converged total for BOTH algorithms)
 INSTANCES = [
     (48, 8, 36, 156_759),
@@ -93,47 +95,28 @@ class TestSerialParallelDifferential:
 
 @pytest.mark.parametrize("size,tile,s,expected", INSTANCES, ids=IDS)
 class TestPrunedVsUnpruned:
-    """Active-pair pruning (:mod:`repro.accel.dirty`) must be invisible in
-    the results: identical permutations *and* identical sweep-by-sweep
-    traces, on every pinned instance (three grid sizes), while provably
-    skipping work after the first sweep."""
+    """Active-pair pruning of Algorithm 2 must be invisible in the
+    results: the same permutation *and* the same sweep-by-sweep trace as
+    the unpruned class-by-class loop, on every pinned instance, while
+    provably skipping work after the first sweep."""
 
     def test_parallel_bit_identical(self, size, tile, s, expected):
         matrix = _matrix(size, tile)
-        pruned = local_search_parallel(matrix, prune=True)
-        unpruned = local_search_parallel(matrix, prune=False)
+        pruned = local_search_parallel(matrix)
+        unpruned = local_search_classwise(matrix, prune=False)
         assert (pruned.permutation == unpruned.permutation).all()
-        assert pruned.trace.totals == unpruned.trace.totals
-        assert pruned.trace.swap_counts == unpruned.trace.swap_counts
+        assert pruned.trace == unpruned.trace
         assert pruned.total == unpruned.total == expected
-
-    def test_serial_best_row_bit_identical(self, size, tile, s, expected):
-        matrix = _matrix(size, tile)
-        pruned = local_search_serial(matrix, strategy="best_row", prune=True)
-        unpruned = local_search_serial(matrix, strategy="best_row", prune=False)
-        assert (pruned.permutation == unpruned.permutation).all()
-        assert pruned.trace.totals == unpruned.trace.totals
-        assert pruned.trace.swap_counts == unpruned.trace.swap_counts
 
     def test_pruning_actually_skips_pairs(self, size, tile, s, expected):
         """The trace assertion: pruning is doing work, not just agreeing.
         Candidate accounting must also be exhaustive — evaluated plus
         skipped equals the full ``S(S-1)/2`` candidates of every sweep."""
-        matrix = _matrix(size, tile)
-        for result in (
-            local_search_parallel(matrix, prune=True),
-            local_search_serial(matrix, strategy="best_row", prune=True),
-        ):
-            evaluated = result.meta["pairs_evaluated"]
-            skipped = result.meta["pairs_skipped"]
-            assert skipped > 0, result.strategy
-            sweeps = len(result.trace.swap_counts)
-            assert evaluated + skipped == sweeps * s * (s - 1) // 2
-
-    def test_unpruned_meta_has_no_pruner_stats(self, size, tile, s, expected):
-        matrix = _matrix(size, tile)
-        result = local_search_serial(matrix, strategy="best_row", prune=False)
-        assert "pairs_evaluated" not in result.meta
+        result = local_search_parallel(_matrix(size, tile))
+        evaluated = result.meta["pairs_evaluated"]
+        skipped = result.meta["pairs_skipped"]
+        assert skipped > 0
+        assert evaluated + skipped == result.sweeps * s * (s - 1) // 2
 
 
 def test_divergence_is_possible_elsewhere():

@@ -1,10 +1,11 @@
 """Exactness of the windowed Algorithm-2 sweep against the class-by-class loop.
 
 ``local_search_parallel`` evaluates a window of consecutive colour
-classes in one gather and commits only the first class that improves.
-It must follow the class-by-class trajectory of
-:mod:`tests.localsearch.class_oracle` exactly: the same permutation, the
-same swaps and totals per sweep, and the same pruning counters.
+classes in one gather, commits only the first class that improves and
+always prunes pairs whose endpoints are untouched.  It must follow the
+class-by-class trajectory of :mod:`tests.localsearch.class_oracle`
+exactly: the same permutation and the same swaps and totals per sweep as
+the unpruned loop, and the same pruning counters as the pruned one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from repro.cost.matrix import error_matrix
 from repro.imaging.synthetic import standard_image
 from repro.localsearch import parallel
 from repro.localsearch.parallel import local_search_parallel
+from repro.mosaic.config import MosaicConfig
+from repro.mosaic.generator import PhotomosaicGenerator
 from repro.tiles.grid import TileGrid
 
 from .class_oracle import ClassPruner, local_search_classwise
@@ -26,31 +29,47 @@ from .class_oracle import ClassPruner, local_search_classwise
 SIZES = (1, 2, 3, 4, 5, 16, 17, 64, 255, 256)
 
 
-def assert_same_run(matrix, initial=None, *, prune=True, candidates=None):
-    expected = local_search_classwise(
-        matrix, initial, prune=prune, candidates=candidates
+def assert_same_run(matrix, initial=None, *, candidates=None):
+    got = local_search_parallel(matrix, initial, candidates=candidates)
+    plain = local_search_classwise(
+        matrix, initial, prune=False, candidates=candidates
     )
-    got = local_search_parallel(
-        matrix, initial, prune=prune, candidates=candidates
+    np.testing.assert_array_equal(got.permutation, plain.permutation)
+    assert got.trace == plain.trace
+    assert got.total == plain.total
+    pruned = local_search_classwise(
+        matrix, initial, prune=True, candidates=candidates
     )
-    np.testing.assert_array_equal(got.permutation, expected.permutation)
-    assert got.trace == expected.trace
-    assert got.total == expected.total
     for key in ("pairs_evaluated", "pairs_skipped", "kernel_launches"):
-        assert got.meta.get(key) == expected.meta.get(key), key
+        assert got.meta[key] == pruned.meta[key], key
     return got
 
 
 @pytest.mark.parametrize("s", SIZES)
 @pytest.mark.parametrize("start", ["identity", "random"])
-@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("second_draw", [True, False])
 @pytest.mark.parametrize("masked", [False, True])
-def test_matches_class_by_class(s, start, prune, masked):
-    rng = np.random.default_rng(s * 4 + (start == "random") * 2 + prune)
+def test_matches_class_by_class(s, start, second_draw, masked):
+    """Two independent random matrices per size, start and mask."""
+    rng = np.random.default_rng(s * 4 + (start == "random") * 2 + second_draw)
     matrix = rng.integers(0, 1000, size=(s, s)).astype(np.int64)
     initial = rng.permutation(s) if start == "random" else None
     candidates = rng.random((s, s)) < 0.5 if masked else None
-    assert_same_run(matrix, initial, prune=prune, candidates=candidates)
+    assert_same_run(matrix, initial, candidates=candidates)
+
+
+def test_pipeline_instance_at_s1024():
+    """portrait/sailboat, N=256, tile 8: the instance the perf smoke times,
+    pinned here with its total, sweeps and pruning counters."""
+    generator = PhotomosaicGenerator(MosaicConfig(tile_size=8))
+    _, matrix = generator.build_error_matrix(
+        standard_image("portrait", 256), standard_image("sailboat", 256)
+    )
+    assert matrix.shape == (1024, 1024)
+    result = assert_same_run(matrix)
+    assert result.total == 4_283_809
+    assert result.sweeps == 4
+    assert result.meta["pairs_evaluated"] == 651_379
 
 
 def _one_improving_pair(s: int, u: int, v: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cost.matrix import total_error
-from repro.exceptions import ConvergenceError, ValidationError
+from repro.exceptions import ConvergenceError
 from repro.localsearch.serial import local_search_serial
 from repro.tiles.permutation import random_permutation
 
@@ -89,29 +89,6 @@ class TestAlgorithm1:
         with pytest.raises(ConvergenceError):
             # max_sweeps=1 but the matrix needs several sweeps from identity.
             local_search_serial(small_error_matrix, max_sweeps=1)
-
-    def test_unknown_strategy(self, small_error_matrix):
-        with pytest.raises(ValidationError, match="strategy"):
-            local_search_serial(small_error_matrix, strategy="random")
-
-
-class TestBestRowStrategy:
-    def test_reaches_2opt_optimum(self, small_error_matrix):
-        result = local_search_serial(small_error_matrix, strategy="best_row")
-        assert _no_improving_pair(small_error_matrix, result.permutation)
-
-    def test_quality_close_to_first(self, small_error_matrix):
-        first = local_search_serial(small_error_matrix, strategy="first")
-        best = local_search_serial(small_error_matrix, strategy="best_row")
-        # Different visit orders may reach different local optima, but both
-        # are 2-opt optimal; on natural matrices they land within a few %.
-        assert abs(first.total - best.total) / first.total < 0.05
-
-    def test_strategy_recorded(self, small_error_matrix):
-        assert (
-            local_search_serial(small_error_matrix, strategy="best_row").strategy
-            == "best_row"
-        )
 
 
 class TestPaperClaim:

@@ -60,6 +60,21 @@ class TestSubmitTaxonomy:
         assert exc.status == 400
         assert exc.code == "invalid_spec"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_retries", 1.5),
+            ("size", "64"),
+            ("solver", "nope"),
+            ("output", "/tmp/x.png"),
+        ],
+    )
+    def test_spec_that_would_fail_in_a_worker(self, field, value):
+        exc = _submit_expecting_error(spec_dict(**{field: value}))
+        assert exc.status == 400
+        assert exc.code == "invalid_spec"
+        assert field in str(exc)
+
     def test_mistyped_priority(self):
         exc = _submit_expecting_error(spec_dict(priority="x"))
         assert exc.status == 400

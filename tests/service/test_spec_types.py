@@ -1,9 +1,11 @@
 """Mistyped job-spec fields are rejected at admission, not inside a worker.
 
-``priority`` orders the queue's heap and ``seed``, ``metric`` and
-``histogram_match`` steer the runner, so a spec carrying the wrong type
-must fail as a 400 ``invalid_spec`` before a pool ever counts it.  A
-push that fails anyway leaves no record and no open job behind.
+``priority`` orders the queue's heap, ``max_retries`` counts the pool's
+attempts and the other fields steer the runner, so a spec carrying the
+wrong type or an unknown name must fail as a 400 ``invalid_spec`` before
+a pool ever counts it.  So must a network spec whose ``output`` would
+leave the output directory.  A push that fails anyway leaves no record
+and no open job behind.
 """
 
 from __future__ import annotations
@@ -32,6 +34,22 @@ BASE = {"input": "portrait", "target": "sailboat", "size": 64, "tile_size": 8}
         ("histogram_match", "x"),
         ("histogram_match", 1),
         ("metric", "nope"),
+        ("max_retries", 1.5),
+        ("max_retries", "2"),
+        ("max_retries", True),
+        ("size", "64"),
+        ("size", True),
+        ("size", -5),
+        ("size", 0),
+        ("tile_size", 8.5),
+        ("shortlist_top_k", 1.5),
+        ("timeout", "5"),
+        ("timeout", True),
+        ("solver", "nope"),
+        ("output", "/tmp/x.png"),
+        ("output", "../../x.png"),
+        ("output", "sub/../../x.png"),
+        ("output", 7),
     ],
 )
 def test_mistyped_field_is_invalid_spec(field, value):
@@ -44,10 +62,34 @@ def test_mistyped_field_is_invalid_spec(field, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("priority", -3), ("seed", None), ("seed", 2**63), ("histogram_match", False)],
+    [
+        ("priority", -3),
+        ("seed", None),
+        ("seed", 2**63),
+        ("histogram_match", False),
+        ("max_retries", 0),
+        ("size", 1),
+        ("timeout", 5),
+        ("timeout", 0.5),
+        ("solver", "greedy"),
+        ("output", "job1.png"),
+        ("output", "sub/job1.png"),
+    ],
 )
 def test_well_typed_fields_pass(field, value):
     assert getattr(spec_from_payload({**BASE, field: value}), field) == value
+
+
+def test_manifest_spec_keeps_its_output_path():
+    """Only network submissions are confined to the output directory."""
+    assert JobSpec(**BASE, output="/tmp/x.png").output == "/tmp/x.png"
+
+
+def test_float_retries_cannot_reach_a_pool():
+    """A float ``max_retries`` used to kill the worker thread at
+    ``range(retries + 1)`` and leave the job PENDING for good."""
+    with pytest.raises(JobError, match="max_retries"):
+        JobSpec(**BASE, max_retries=1.5)
 
 
 def test_library_spec_checks_metric_too():
