@@ -51,8 +51,13 @@ TIMED_FIELDS = (
 EXACT_FIELDS = ("total_error", "sweeps", "pairs_evaluated_pruned")
 
 
-def build_instance(s: int, tile: int) -> np.ndarray:
-    """Pipeline-built error matrix with ``s`` tiles per image."""
+def build_instance(s: int, tile: int) -> tuple[np.ndarray, float]:
+    """Steps 1 + 2 error matrix with ``s`` tiles per image, and its build
+    time in seconds.
+
+    Built by :meth:`PhotomosaicGenerator.build_error_matrix` on the raw
+    images: no histogram match, unlike ``generate``.
+    """
     side = int(round(s**0.5))
     if side * side != s:
         raise SystemExit(f"--s must be a perfect square, got {s}")

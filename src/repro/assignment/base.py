@@ -35,14 +35,16 @@ class AssignmentResult:
     total:
         Objective value ``sum_v E[p[v], v]``.
     optimal:
-        Whether the solver guarantees optimality (greedy sets ``False``).
+        Whether the permutation is guaranteed optimal for the full matrix
+        (``False`` after a solve restricted to a sparse shortlist).
     dual_row, dual_col:
         LP dual potentials when the solver produces them
         (``dual_row[u] + dual_col[v] <= E[u, v]`` with equality on matched
         edges); ``None`` otherwise.  See
         :func:`repro.assignment.validation.verify_optimality_certificate`.
     iterations:
-        Solver-specific work counter (augmentations, auction rounds, ...).
+        Solver-specific work counter (augmentations, permutations
+        enumerated, ...).
     """
 
     permutation: PermutationArray
@@ -59,9 +61,6 @@ class AssignmentSolver(ABC):
 
     #: Registry key; subclasses override.
     name: str = "abstract"
-
-    #: Whether the algorithm guarantees a minimum-weight perfect matching.
-    exact: bool = True
 
     def solve(self, matrix: ErrorMatrix) -> AssignmentResult:
         """Solve the assignment problem for ``matrix``.

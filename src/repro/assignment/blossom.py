@@ -31,7 +31,6 @@ class BlossomSolver(AssignmentSolver):
     """Min-weight perfect matching via Edmonds' blossom algorithm."""
 
     name = "blossom"
-    exact = True
 
     def __init__(self, size_limit: int = 512) -> None:
         if size_limit < 1:
@@ -43,7 +42,7 @@ class BlossomSolver(AssignmentSolver):
         if n > self.size_limit:
             raise ValidationError(
                 f"blossom solver limited to S <= {self.size_limit} (pure-"
-                f"Python general matching), got {n}; use 'jv' or 'scipy'"
+                f"Python general matching), got {n}; use 'scipy'"
             )
         # The paper's Fig. 4 graph: left vertices 0..n-1 are input tiles,
         # right vertices n..2n-1 are target positions.

@@ -28,7 +28,6 @@ class BruteForceSolver(AssignmentSolver):
     """Enumerate all S! assignments (tiny instances only)."""
 
     name = "bruteforce"
-    exact = True
 
     def __init__(self, factorial_limit: int = 9) -> None:
         if factorial_limit < 1:

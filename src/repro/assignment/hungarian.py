@@ -31,7 +31,6 @@ class HungarianSolver(AssignmentSolver):
     """From-scratch Kuhn-Munkres with vectorised relaxation."""
 
     name = "hungarian"
-    exact = True
 
     def _solve(self, matrix: ErrorMatrix) -> AssignmentResult:
         cost = matrix

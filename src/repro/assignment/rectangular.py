@@ -3,26 +3,21 @@
 The database-mosaic mode without tile reuse (paper Fig. 1 pipeline, "each
 database image at most once") is a rectangular LAP: ``R`` candidate tiles,
 ``C <= R`` target positions, choose ``C`` distinct candidates minimising
-total cost.  The classic reduction squares the matrix with zero-cost dummy
-columns — dummies absorb the unused candidates without changing the
-objective — after which any exact square solver applies.
+total cost.  SciPy's ``linear_sum_assignment`` solves the ``(R, C)``
+matrix directly, so no ``R x R`` zero-padded square is ever built.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from repro.assignment.base import AssignmentSolver, get_solver
-from repro.exceptions import ValidationError
-from repro.types import ERROR_DTYPE
+from repro.exceptions import SolverError, ValidationError
 
 __all__ = ["solve_rectangular"]
 
 
-def solve_rectangular(
-    costs: np.ndarray,
-    solver: str | AssignmentSolver = "jv",
-) -> tuple[np.ndarray, int]:
+def solve_rectangular(costs: np.ndarray) -> tuple[np.ndarray, int]:
     """Min-cost injective assignment of columns to rows.
 
     Parameters
@@ -30,8 +25,6 @@ def solve_rectangular(
     costs:
         ``(R, C)`` non-negative cost matrix with ``R >= C`` (rows =
         candidates, columns = positions).
-    solver:
-        Square-solver registry name or instance used on the padded matrix.
 
     Returns
     -------
@@ -53,12 +46,14 @@ def solve_rectangular(
         raise ValidationError(f"costs must be integer, got dtype {costs.dtype}")
     if (costs < 0).any():
         raise ValidationError("costs must be non-negative")
-    # Pad with zero-cost dummy columns: every unused candidate matches a
-    # dummy for free, so the real columns' assignment is unchanged.
-    padded = np.zeros((rows, rows), dtype=ERROR_DTYPE)
-    padded[:, :cols] = costs
-    result = get_solver(solver).solve(padded)
-    # result.permutation[v] = row at (padded) column v; keep real columns.
-    choice = result.permutation[:cols].copy()
+    # With R >= C every column is matched once; SciPy returns the pairs
+    # in row order, so scatter them into column order.
+    row_ind, col_ind = linear_sum_assignment(costs)
+    choice = np.full(cols, -1, dtype=np.intp)
+    choice[col_ind] = row_ind
+    if (choice < 0).any() or np.unique(choice).size != cols:
+        raise SolverError(
+            "rectangular assignment must give every column a distinct row"
+        )
     total = int(costs[choice, np.arange(cols)].sum())
     return choice, total

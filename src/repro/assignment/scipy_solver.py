@@ -22,7 +22,6 @@ class ScipySolver(AssignmentSolver):
     """Exact solver backed by SciPy (the reproduction's Blossom V stand-in)."""
 
     name = "scipy"
-    exact = True
 
     def _solve(self, matrix: ErrorMatrix) -> AssignmentResult:
         rows, cols = linear_sum_assignment(matrix)

@@ -1,6 +1,6 @@
 """Result validation and LP-duality optimality certificates.
 
-For the exact solvers that expose dual potentials (Hungarian, JV), weak
+For the exact solver that exposes dual potentials (Hungarian), weak
 duality gives a machine-checkable proof of optimality:
 
 * feasibility: ``dual_row[u] + dual_col[v] <= E[u, v]`` for every pair;

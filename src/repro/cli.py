@@ -53,6 +53,7 @@ import argparse
 import os
 import sys
 
+from repro.assignment.base import available_solvers
 from repro.benchharness import report
 from repro.imaging import (
     STANDARD_IMAGES,
@@ -910,7 +911,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="parallel",
     )
     gen.add_argument("--metric", default="sad", help="cost metric name")
-    gen.add_argument("--solver", default="scipy", help="assignment solver name")
+    gen.add_argument(
+        "--solver",
+        default="scipy",
+        choices=available_solvers(),
+        help="exact assignment solver for the optimization algorithm",
+    )
     gen.add_argument(
         "--no-histogram-match",
         action="store_true",

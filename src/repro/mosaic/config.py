@@ -27,9 +27,9 @@ class MosaicConfig:
     metric:
         Cost-metric registry name (``"sad"`` reproduces the paper).
     solver:
-        Assignment-solver registry name for the optimization algorithm
-        (``"scipy"`` is the Blossom V stand-in; ``"hungarian"``, ``"jv"``,
-        ``"auction"``, ``"greedy"``, ``"blossom"`` (Edmonds' blossom via
+        Exact assignment-solver registry name for the optimization
+        algorithm (``"scipy"`` is the Blossom V stand-in; ``"hungarian"``
+        (emits dual potentials), ``"blossom"`` (Edmonds' blossom via
         networkx) and ``"bruteforce"`` (all ``S!`` assignments, tiny ``S``
         only) are also registered).
     histogram_match:

@@ -164,7 +164,8 @@ class PhotomosaicGenerator:
         # always repair, and 2-opt then polishes inside the candidate
         # graph.  ``config.solver`` is otherwise unused by the
         # local-search algorithms, so the knob doubles as the sparse
-        # warm-start choice (``"greedy"`` for the cheapest start).
+        # warm-start choice (every registered solver is exact, so the
+        # choice changes only run time and tie-breaking).
         initial = None
         if sparse is not None:
             initial = get_solver(cfg.solver).solve_sparse(sparse).permutation

@@ -19,7 +19,7 @@ class TestOracle:
         result = BruteForceSolver().solve(m)
         assert result.iterations == math.factorial(n)
 
-    @pytest.mark.parametrize("name", ["scipy", "hungarian", "jv", "auction"])
+    @pytest.mark.parametrize("name", ["scipy", "hungarian"])
     def test_fast_solvers_match_oracle(self, name, rng):
         """The decisive optimality test: nothing here trusts a fast solver."""
         solver = get_solver(name)

@@ -1,11 +1,10 @@
-"""Hungarian- and JV-specific structural tests."""
+"""Hungarian-specific structural tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.assignment.hungarian import HungarianSolver
-from repro.assignment.jonker_volgenant import JonkerVolgenantSolver
 
 
 class TestHungarian:
@@ -23,45 +22,3 @@ class TestHungarian:
         result = HungarianSolver().solve(random_matrix)
         assert int(result.dual_row.sum() + result.dual_col.sum()) == result.total
 
-
-class TestJonkerVolgenant:
-    def test_column_reduction_solves_easy_instances_alone(self):
-        """A matrix whose column minima sit in distinct rows needs no phase 3."""
-        m = np.full((5, 5), 100, dtype=np.int64)
-        np.fill_diagonal(m, 1)
-        result = JonkerVolgenantSolver().solve(m)
-        assert result.total == 5
-        assert result.iterations == 0  # no augmentation scans needed
-
-    def test_duals_feasible(self, random_matrix):
-        result = JonkerVolgenantSolver().solve(random_matrix)
-        slack = (
-            random_matrix
-            - result.dual_row[:, None]
-            - result.dual_col[None, :]
-        )
-        assert (slack >= 0).all()
-
-    def test_hard_instance_exercises_augmentation(self, rng):
-        """Rank-deficient-ish costs force free rows into phase 3."""
-        n = 30
-        base = rng.integers(0, 5, size=(n, 1)).astype(np.int64)
-        m = np.broadcast_to(base, (n, n)).copy()  # every column identical
-        m += rng.integers(0, 2, size=(n, n)).astype(np.int64)
-        from repro.assignment import get_solver
-
-        assert (
-            JonkerVolgenantSolver().solve(m).total == get_solver("scipy").solve(m).total
-        )
-
-    def test_asymmetric_structure(self, rng):
-        """Block-structured costs where greedy column reduction collides."""
-        n = 16
-        m = np.zeros((n, n), dtype=np.int64)
-        m[: n // 2] = 1  # first half of rows cheap everywhere
-        m[n // 2 :] = rng.integers(100, 200, size=(n // 2, n)).astype(np.int64)
-        from repro.assignment import get_solver
-
-        assert (
-            JonkerVolgenantSolver().solve(m).total == get_solver("scipy").solve(m).total
-        )

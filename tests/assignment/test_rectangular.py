@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from repro.assignment.rectangular import solve_rectangular
-from repro.exceptions import ValidationError
+from repro.exceptions import SolverError, ValidationError
 
 
 class TestCorrectness:
@@ -42,12 +45,44 @@ class TestCorrectness:
         assert choice.tolist() == [1]
         assert total == 2
 
-    @pytest.mark.parametrize("solver", ["scipy", "jv", "hungarian"])
-    def test_any_backing_solver(self, solver, rng):
-        costs = rng.integers(0, 500, size=(15, 9)).astype(np.int64)
-        _, total = solve_rectangular(costs, solver=solver)
-        ref_rows, ref_cols = linear_sum_assignment(costs)
-        assert total == int(costs[ref_rows, ref_cols].sum())
+    def test_matches_exhaustive_oracle(self, rng):
+        """An oracle that shares no code with SciPy: every injective
+        choice of ``C`` rows out of ``R``."""
+        for _ in range(10):
+            rows = int(rng.integers(1, 7))
+            cols = int(rng.integers(1, rows + 1))
+            costs = rng.integers(0, 100, size=(rows, cols)).astype(np.int64)
+            best = min(
+                int(costs[list(pick), np.arange(cols)].sum())
+                for pick in itertools.permutations(range(rows), cols)
+            )
+            assert solve_rectangular(costs)[1] == best
+
+    def test_memory_stays_near_costs(self, rng):
+        """Solve the ``(R, C)`` matrix as is: an ``R x R`` padded square
+        alone would be 10x ``costs.nbytes`` here."""
+        costs = rng.integers(0, 1000, size=(2000, 200)).astype(np.int64)
+        tracemalloc.start()
+        try:
+            solve_rectangular(costs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * costs.nbytes
+
+
+class TestInjectivity:
+    def test_repeated_row_rejected(self, monkeypatch):
+        """A backend answer that reuses a row must not reach the caller."""
+        from repro.assignment import rectangular
+
+        monkeypatch.setattr(
+            rectangular,
+            "linear_sum_assignment",
+            lambda costs: (np.array([0, 0]), np.array([0, 1])),
+        )
+        with pytest.raises(SolverError, match="distinct row"):
+            solve_rectangular(np.zeros((3, 2), dtype=np.int64))
 
 
 class TestValidation:

@@ -19,7 +19,7 @@ from repro.cost.sparse import SparseErrorMatrix
 from repro.imaging import standard_image
 from repro.tiles.grid import TileGrid
 
-SOLVERS = ("greedy", "scipy", "auction", "jv", "hungarian")
+SOLVERS = ("scipy", "hungarian")
 
 
 @pytest.fixture(scope="module")
@@ -124,23 +124,3 @@ def test_feature_less_sparse_falls_back_to_sentinel_totals():
     assert meta["fallback"] == 2
     assert meta["exact_fallback"] is False
 
-
-def test_greedy_native_scan_matches_default_densified_path(sparse_16):
-    """GreedySolver's native S*k scan visits shortlisted pairs in the
-    dense argsort order, so while the shortlist can serve every row the
-    two code paths pick identical assignments.  (Fallback rows may
-    legitimately differ: the native path exact-scores the leftover block
-    where the densified path ties-breaks among equal sentinels.)"""
-    from repro.assignment.base import AssignmentSolver
-
-    greedy = get_solver("greedy")
-    native = greedy.solve_sparse(sparse_16)
-    densified = AssignmentSolver.solve_sparse(greedy, sparse_16)
-    if densified.meta["sparse"]["fallback"] == 0:
-        np.testing.assert_array_equal(
-            native.permutation, densified.permutation
-        )
-        assert native.total == densified.total
-    else:
-        # Exact-scored fallback never does worse than sentinel tie-break.
-        assert native.total <= densified.total

@@ -69,19 +69,26 @@ def test_all_true_mask_is_bit_identical_to_unrestricted(kind, kw, matrix):
 @pytest.mark.parametrize("kind,kw", ALL_RUNNERS)
 def test_restricted_sweep_never_leaves_candidate_graph(kind, kw, matrix, sparse):
     """Start from a permutation inside the candidate graph; every swap
-    keeps both endpoints inside it, so the final placement must too."""
-    from repro.assignment import get_solver
+    keeps both endpoints inside it, so the final placement must too.
 
+    The start is the *costliest* in-graph assignment, so the sweep has
+    room to move (an exact shortlist solve would already be the
+    restricted optimum and leave nothing to test)."""
+    from scipy.optimize import linear_sum_assignment
+
+    s = matrix.shape[0]
     allowed = sparse.mask()
-    initial = get_solver("greedy").solve_sparse(sparse).permutation
-    start_inside = allowed[initial, np.arange(matrix.shape[0])]
+    big = int(matrix.max()) * s + 1
+    tiles, positions = linear_sum_assignment(np.where(allowed, -matrix, big))
+    initial = np.empty(s, dtype=np.intp)
+    initial[positions] = tiles
+    assert allowed[initial, np.arange(s)].all()
     result = _run(kind, matrix, candidates=allowed, initial=initial, **kw)
-    end_inside = allowed[result.permutation, np.arange(matrix.shape[0])]
-    # Positions that started inside the graph must stay inside: eligible
-    # swaps require both new placements to be shortlisted.
-    assert (end_inside | ~start_inside).all()
+    # Every swap needs both new placements shortlisted, so the run stays
+    # inside the graph, and it must actually improve the start.
+    assert allowed[result.permutation, np.arange(s)].all()
     assert result.total == total_error(matrix, result.permutation)
-    assert result.total <= total_error(matrix, initial)
+    assert result.total < total_error(matrix, initial)
 
 
 @pytest.mark.parametrize("kind", ["serial", "parallel"])

@@ -1,17 +1,18 @@
-"""Differential regression: Algorithm 1 vs Algorithm 2 on pipeline instances.
+"""Differential regression: Algorithm 1 vs Algorithm 2 on Step-2 matrices.
 
 The paper's serial 2-opt (Algorithm 1) and colour-class parallel 2-opt
 (Algorithm 2) visit swap candidates in different orders, so they may end
 at *different* pairwise-swap-optimal permutations in general.  On the
-pinned pipeline instances below, however, both converge to the same
+pinned instances below, however, both converge to the same
 total error — and that agreement is a sensitive tripwire: a change to
 sweep order, edge-group construction, tie-breaking, or the error matrix
 itself will almost certainly break at least one instance.
 
-The instances span three grid sizes (S = 16, 36, 64) and are built
-exactly the way the pipeline builds them (histogram match + Step 1/2 via
-:meth:`PhotomosaicGenerator.build_error_matrix`), so these tests also
-guard the matrix construction upstream of the local search.
+The instances span three grid sizes (S = 16, 36, 64) and are built by
+:meth:`PhotomosaicGenerator.build_error_matrix` — Steps 1 and 2 on the
+raw images, without the Section II histogram match that ``generate``
+applies first — so these tests also guard the matrix construction
+upstream of the local search.
 """
 
 from __future__ import annotations

@@ -23,26 +23,14 @@ matrices = arrays(
 @settings(max_examples=60, deadline=None)
 def test_all_exact_solvers_agree(m):
     reference = get_solver("scipy").solve(m).total
-    for name in ("hungarian", "jv", "auction"):
-        assert get_solver(name).solve(m).total == reference
+    assert get_solver("hungarian").solve(m).total == reference
 
 
 @given(matrices)
 @settings(max_examples=40, deadline=None)
 def test_duals_always_certify(m):
-    for name in ("hungarian", "jv"):
-        result = get_solver(name).solve(m)
-        assert verify_optimality_certificate(result, m)
-
-
-@given(matrices)
-@settings(max_examples=40, deadline=None)
-def test_greedy_between_optimal_and_worst(m):
-    n = m.shape[0]
-    greedy = get_solver("greedy").solve(m).total
-    optimal = get_solver("scipy").solve(m).total
-    worst = int(m.max()) * n
-    assert optimal <= greedy <= worst
+    result = get_solver("hungarian").solve(m)
+    assert verify_optimality_certificate(result, m)
 
 
 @given(matrices, st.integers(min_value=0, max_value=1000))
@@ -51,8 +39,8 @@ def test_constant_shift_invariance(m, shift):
     """Adding a constant to every entry shifts the optimum by n*shift and
     preserves (an) optimal permutation's cost structure."""
     n = m.shape[0]
-    base = get_solver("jv").solve(m)
-    shifted = get_solver("jv").solve(m + shift)
+    base = get_solver("hungarian").solve(m)
+    shifted = get_solver("hungarian").solve(m + shift)
     assert shifted.total == base.total + n * shift
 
 

@@ -33,9 +33,11 @@ class TestJobSpec:
         assert len(job_id) == len("job-") + 12
 
     def test_to_config(self):
-        config = spec(algorithm="optimization", solver="jv", metric="ssd").to_config()
+        config = spec(
+            algorithm="optimization", solver="hungarian", metric="ssd"
+        ).to_config()
         assert config == MosaicConfig(
-            tile_size=8, algorithm="optimization", solver="jv", metric="ssd"
+            tile_size=8, algorithm="optimization", solver="hungarian", metric="ssd"
         )
 
     def test_rejects_empty_images(self):

@@ -20,6 +20,9 @@ from repro.service.workers import WorkerPool
 
 BASE = {"input": "portrait", "target": "sailboat", "size": 64, "tile_size": 8}
 
+#: Solver names the registry used to carry; a spec naming one must not queue.
+REMOVED_SOLVERS = "greedy jv auction".split()
+
 
 @pytest.mark.parametrize(
     "field, value",
@@ -46,6 +49,7 @@ BASE = {"input": "portrait", "target": "sailboat", "size": 64, "tile_size": 8}
         ("timeout", "5"),
         ("timeout", True),
         ("solver", "nope"),
+        *(("solver", name) for name in REMOVED_SOLVERS),
         ("output", "/tmp/x.png"),
         ("output", "../../x.png"),
         ("output", "sub/../../x.png"),
@@ -71,7 +75,7 @@ def test_mistyped_field_is_invalid_spec(field, value):
         ("size", 1),
         ("timeout", 5),
         ("timeout", 0.5),
-        ("solver", "greedy"),
+        ("solver", "hungarian"),
         ("output", "job1.png"),
         ("output", "sub/job1.png"),
     ],

@@ -221,6 +221,21 @@ class TestGenerate:
                 ]
             )
 
+    @pytest.mark.parametrize("solver", "greedy jv auction".split())
+    def test_removed_solver_rejected(self, solver, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "generate",
+                    "--input", "portrait",
+                    "--target", "sailboat",
+                    "--algorithm", "optimization",
+                    "--solver", solver,
+                ]
+            )
+        assert exit_info.value.code != 0
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_shape_mismatch_errors(self, tmp_path, rng):
         a = tmp_path / "a.png"
         write_png(a, rng.integers(0, 256, size=(32, 32)).astype(np.uint8))
@@ -244,7 +259,7 @@ class TestGenerate:
                 "--size", "64",
                 "--tile-size", "8",
                 "--algorithm", "optimization",
-                "--solver", "jv",
+                "--solver", "hungarian",
                 "--output", str(out),
             ]
         )
